@@ -17,7 +17,7 @@ from .bivincular import count_anchored_132_avoiders, count_anchored_132_avoiders
 from .classify import classification_row
 from .conjectures import equidistribution_report
 from .enumeration import count_sortable, count_sorted, fertility, sorted_profile
-from .machine import stack_pass_traced, trace_json
+from .machine import check_forbidden, stack_pass_traced, trace_json
 from .perms import Perm, format_perm, parse_perm
 from .verify import (
     has_failure,
@@ -60,8 +60,6 @@ def _emit_sequence(counts: list[int], fmt: str) -> None:
 def _cmd_trace(args: argparse.Namespace) -> int:
     forbidden = _parse_perm_arg(args.sigma, "forbidden pattern")
     perm = _parse_perm_arg(args.pi, "input permutation")
-    if len(forbidden) < 2:
-        raise UsageError("forbidden pattern must have length >= 2")
     output, trace = stack_pass_traced(forbidden, perm)
     if args.format == "json":
         print(
@@ -107,8 +105,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if args.sigma is None:
             raise UsageError(f"count {args.what} requires --sigma")
         forbidden = _parse_perm_arg(args.sigma, "forbidden pattern")
-        if len(forbidden) < 2:
-            raise UsageError("forbidden pattern must have length >= 2")
+        check_forbidden(forbidden)
         _check_guard(args)
         fn = count_sortable if args.what == "sortable" else count_sorted
         counts = [fn(n, forbidden, workers=args.threads) for n in range(1, args.max_n + 1)]
@@ -200,8 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_fertility(args: argparse.Namespace) -> int:
     forbidden = _parse_perm_arg(args.sigma, "forbidden pattern")
-    if len(forbidden) < 2:
-        raise UsageError("forbidden pattern must have length >= 2")
+    check_forbidden(forbidden)
     if (args.gamma is None) == (args.n is None):
         raise UsageError("give exactly one of --gamma or --n")
     if args.gamma is not None:

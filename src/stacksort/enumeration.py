@@ -1,15 +1,19 @@
 """Exhaustive enumeration of sortable inputs, sorted outputs and fertilities.
 
-The enumerators share work across inputs with a common prefix: the greedy
-pass is deterministic, so the machine state after consuming a prefix is the
-same for every completion.  Searching the prefix tree and pruning a branch
-as soon as the partial output contains 231 (its output can only grow) visits
-far fewer states than simulating each permutation separately; a brute-force
-twin of each enumerator exists in the test suite.
+Every enumerator is one walk of the prefix tree of inputs.  The greedy pass
+is deterministic, so the machine state after consuming a prefix is the same
+for every completion: the walker applies `machine.greedy_push` once per tree
+node, to its own copy of the parent's stack, and each leaf drains the stack.
+Every batch of values a node emits (the leaf drain included) goes through a
+prune hook, which can cut the branch, since the output only grows:
 
-Totals are independent of the traversal, so the search can be partitioned by
-first entry and run on several workers; results are identical for any worker
-count, including one.
+- sortable inputs: cut once the output contains 231;
+- fertility of gamma: cut once the output is no longer a prefix of gamma;
+- all first-pass outputs: never cut.
+
+Leaves come out lazily in lexicographic input order.  Totals are independent
+of the traversal, so the search can be partitioned by first entry and run on
+several workers; results are identical for any worker count, including one.
 """
 
 from __future__ import annotations
@@ -17,94 +21,79 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .machine import push_blocked, stack_pass
-from .perms import Perm, all_perms, as_perm
+from .machine import check_forbidden, greedy_push
+from .perms import Perm, as_perm, watch_231
 
 Pair = tuple[Perm, Perm]
+
+# (values a node emits, state at the node) -> state below the node, or None
+# to cut the branch there
+PruneHook = Callable[[list[int], object], object]
 
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _drain_ok(stack: tuple[int, ...], mono: list[int], ceiling: int) -> bool:
-    # feed the remaining stack (popped top first) through the 231 detector
-    for t in reversed(stack):
-        if t < ceiling:
-            return False
-        while mono and mono[-1] < t:
-            ceiling = mono.pop()
-        mono.append(t)
-    return True
-
-
-def _sortable_leaves(forbidden: Perm, n: int, first: int | None = None) -> Iterator[Pair]:
-    """Yield (input, first-pass output) for every sortable input of length n,
-    in lexicographic input order, optionally restricted to one first entry."""
-    if len(forbidden) < 2:
-        raise ValueError("forbidden pattern must have length >= 2")
-    if n == 0:
-        yield (), ()
-        return
+def _walk(
+    forbidden: Perm, n: int, hook: PruneHook, state: object, first: int | None = None
+) -> Iterator[Pair]:
+    """Yield (input, first-pass output) for every input of length n that the
+    hook keeps, in lexicographic input order, optionally restricted to one
+    first entry."""
 
     def rec(
-        free: tuple[int, ...],
-        stack: tuple[int, ...],
-        out: tuple[int, ...],
-        mono: tuple[int, ...],
-        ceiling: int,
-        prefix: tuple[int, ...],
+        free: tuple[int, ...], stack: list[int], out: Perm, prefix: Perm, state: object
     ) -> Iterator[Pair]:
         if not free:
-            if _drain_ok(stack, list(mono), ceiling):
-                yield prefix, out + stack[::-1]
+            drained = stack[::-1]
+            if hook(drained, state) is not None:
+                yield prefix, out + tuple(drained)
             return
-        for v in free:
-            s, o, mo, ce = stack, out, mono, ceiling
-            dead = False
-            while s and push_blocked(v, s, forbidden):
-                t = s[-1]
-                if t < ce:
-                    dead = True  # output already contains 231; no completion works
-                    break
-                cut = len(mo)
-                while cut and mo[cut - 1] < t:
-                    ce = mo[cut - 1]
-                    cut -= 1
-                mo = mo[:cut] + (t,)
-                s = s[:-1]
-                o = o + (t,)
-            if dead:
-                continue
-            yield from rec(
-                tuple(x for x in free if x != v),
-                s + (v,),
-                o,
-                mo,
-                ce,
-                prefix + (v,),
-            )
+        for i, v in enumerate(free):
+            s = stack.copy()
+            popped: list[int] = []
+            greedy_push(v, s, popped.append, forbidden)
+            child = hook(popped, state) if popped else state
+            if child is not None:
+                rest = free[:i] + free[i + 1 :]
+                yield from rec(rest, s, out + tuple(popped), prefix + (v,), child)
 
     values = tuple(range(1, n + 1))
     if first is None:
-        yield from rec(values, (), (), (), 0, ())
-    else:
-        yield from rec(
-            tuple(x for x in values if x != first), (first,), (), (), 0, (first,)
-        )
+        yield from rec(values, [], (), (), state)
+    else:  # a push onto the empty stack pops nothing
+        yield from rec(values[: first - 1] + values[first:], [first], (), (first,), state)
+
+
+def _no_231(popped: list[int], state: object) -> object:
+    mono, ceiling = state
+    mono = mono.copy()
+    ceiling = watch_231(popped, mono, ceiling)
+    return None if ceiling < 0 else (mono, ceiling)
+
+
+def _never(popped: list[int], state: object) -> object:
+    return state
+
+
+def _sortable_leaves(forbidden: Perm, n: int, first: int | None = None) -> Iterator[Pair]:
+    """(input, first-pass output) for every sortable input of length n."""
+    return _walk(forbidden, n, _no_231, ([], 0), first)
 
 
 def sortable_permutations(n: int, forbidden: Perm) -> Iterator[Perm]:
     """All sortable permutations of length n, lexicographic order."""
+    forbidden = check_forbidden(forbidden, n)
     return (p for p, _ in _sortable_leaves(forbidden, n))
 
 
 def machine_outputs(n: int, forbidden: Perm) -> Iterator[Pair]:
-    """(input, first-pass output) for every permutation of length n."""
-    for p in all_perms(n):
-        yield p, stack_pass(forbidden, p)
+    """(input, first-pass output) for every permutation of length n,
+    lexicographic input order."""
+    return _walk(check_forbidden(forbidden, n), n, _never, ())
 
 
 def _count_partition(forbidden: Perm, n: int, first: int) -> int:
@@ -120,8 +109,7 @@ def _profile_partition(forbidden: Perm, n: int, first: int) -> dict[Perm, int]:
 
 def count_sortable(n: int, forbidden: Perm, workers: int = 1) -> int:
     """|{p of length n : machine sorts p}|."""
-    if len(forbidden) < 2:
-        raise ValueError("forbidden pattern must have length >= 2")
+    forbidden = check_forbidden(forbidden, n)
     if n == 0:
         return 1
     firsts = range(1, n + 1)
@@ -145,8 +133,7 @@ class SortedProfile:
 
 
 def sorted_profile(n: int, forbidden: Perm, workers: int = 1) -> SortedProfile:
-    if len(forbidden) < 2:
-        raise ValueError("forbidden pattern must have length >= 2")
+    forbidden = check_forbidden(forbidden, n)
     merged: dict[Perm, int] = {}
     if n == 0:
         merged[()] = 1
@@ -173,33 +160,14 @@ def count_sorted(n: int, forbidden: Perm, workers: int = 1) -> int:
 def fertility(forbidden: Perm, gamma: Perm) -> int:
     """Number of permutations (of the same length, sortable or not) whose
     first-pass output is exactly gamma."""
-    if len(forbidden) < 2:
-        raise ValueError("forbidden pattern must have length >= 2")
-    gamma = as_perm(gamma)
-    n = len(gamma)
-    if n == 0:
-        return 1
+    forbidden = check_forbidden(forbidden)
+    target = list(as_perm(gamma))
 
-    def rec(free: tuple[int, ...], stack: tuple[int, ...], done: int) -> int:
-        if not free:
-            return 1 if stack[::-1] == gamma[done:] else 0
-        total = 0
-        for v in free:
-            s, d = stack, done
-            dead = False
-            while s and push_blocked(v, s, forbidden):
-                t = s[-1]
-                if gamma[d] != t:  # output must stay a prefix of gamma
-                    dead = True
-                    break
-                s = s[:-1]
-                d += 1
-            if dead:
-                continue
-            total += rec(tuple(x for x in free if x != v), s + (v,), d)
-        return total
+    def prefix_of_gamma(popped: list[int], done: object) -> object:
+        end = done + len(popped)
+        return end if target[done:end] == popped else None
 
-    return rec(tuple(range(1, n + 1)), (), 0)
+    return sum(1 for _ in _walk(forbidden, len(target), prefix_of_gamma, 0))
 
 
 def count_sortable_123_formula(n: int) -> int:

@@ -6,7 +6,13 @@ right: each element is pushed as long as the stack stays legal, otherwise the
 top is popped to the output; at the end the stack is drained.  The full
 machine is such a pass followed by a pass through a plain increasing stack
 (forbidden pattern 21), and an input is sortable when the machine emits the
-identity.
+identity, i.e. when the first-pass output avoids 231.
+
+The greedy rule is written once, in `greedy_push`; `stack_pass`,
+`stack_pass_traced` and `is_sortable` are one loop over it that can also
+record the push/pop events and feed the output to the 231 watcher of
+`perms`, stopping at the first occurrence.  The prefix-tree walker of
+`enumeration` runs the same step once per tree node.
 
 Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence, so the push
@@ -16,9 +22,9 @@ test searches occurrences anchored at the candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .perms import Perm, identity
+from .perms import Perm, as_perm, watch_231
 
 PATTERN_21: Perm = (2, 1)
 
@@ -81,91 +87,98 @@ def push_blocked(v: int, stack: Sequence[int], forbidden: Perm) -> bool:
     if len(stack) < k - 1:
         return False
     if k == 2:
+        # a legal 21-stack has its minimum on top, a legal 12-stack its maximum
         if forbidden[0] > forbidden[1]:
-            return v > min(stack)
-        return v < max(stack)
+            return v > stack[-1]
+        return v < stack[-1]
     if k == 3:
         return _anchored3(v, stack, *forbidden)
     return _anchored_generic(v, stack, forbidden)
 
 
-def _check_forbidden(forbidden: Perm) -> None:
+def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
+    """Validate a forbidden pattern, and a length n to enumerate, at the
+    public boundary; returns the pattern as a tuple."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    forbidden = as_perm(forbidden)
     if len(forbidden) < 2:
         raise ValueError("forbidden pattern must have length >= 2")
+    return forbidden
+
+
+def greedy_push(v: int, stack: list[int], emit: Callable[[int], object], forbidden: Perm) -> bool:
+    """The greedy rule for the next input v: pop the top, handing it to emit,
+    while pushing v would be illegal, then push v.  Returns False, without
+    pushing, as soon as emit returns False."""
+    while stack and push_blocked(v, stack, forbidden):
+        if emit(stack.pop()) is False:
+            return False
+    stack.append(v)
+    return True
+
+
+def _pass(
+    forbidden: Perm,
+    perm: Perm,
+    events: list[TraceEvent] | None = None,
+    watch: bool = False,
+) -> Perm | None:
+    """One greedy pass, appending its push/pop events to `events` if given.
+    Otherwise, with `watch`, each output value is fed to the 231 watcher and
+    None is returned at the first occurrence, since the rest of the pass only
+    appends."""
+    stack: list[int] = []
+    out: list[int] = []
+    emit: Callable[[int], object] = out.append
+    if events is not None:
+
+        def emit(t: int) -> None:
+            out.append(t)
+            events.append(TraceEvent("pop", t))
+
+    elif watch:
+        mono: list[int] = []
+        ceiling = 0
+
+        def emit(t: int) -> bool:
+            nonlocal ceiling
+            out.append(t)
+            ceiling = watch_231((t,), mono, ceiling)
+            return ceiling >= 0
+
+    for v in perm:
+        if not greedy_push(v, stack, emit, forbidden):
+            return None
+        if events is not None:
+            events.append(TraceEvent("push", v))
+    while stack:  # end of input: drain
+        if emit(stack.pop()) is False:
+            return None
+    return tuple(out)
 
 
 def stack_pass(forbidden: Perm, perm: Perm) -> Perm:
     """Output of one greedy pass of perm through a forbidden-pattern stack."""
-    _check_forbidden(forbidden)
-    stack: list[int] = []
-    out: list[int] = []
-    for v in perm:
-        while stack and push_blocked(v, stack, forbidden):
-            out.append(stack.pop())
-        stack.append(v)
-    while stack:
-        out.append(stack.pop())
-    return tuple(out)
+    return _pass(check_forbidden(forbidden), perm)
 
 
 def stack_pass_traced(forbidden: Perm, perm: Perm) -> tuple[Perm, MachineTrace]:
     """Like stack_pass, also returning the full push/pop event sequence."""
-    _check_forbidden(forbidden)
-    stack: list[int] = []
-    out: list[int] = []
     events: list[TraceEvent] = []
-    for v in perm:
-        while stack and push_blocked(v, stack, forbidden):
-            top = stack.pop()
-            out.append(top)
-            events.append(TraceEvent("pop", top))
-        stack.append(v)
-        events.append(TraceEvent("push", v))
-    while stack:
-        top = stack.pop()
-        out.append(top)
-        events.append(TraceEvent("pop", top))
-    return tuple(out), tuple(events)
+    out = _pass(check_forbidden(forbidden), perm, events)
+    return out, tuple(events)
 
 
 def machine_output(forbidden: Perm, perm: Perm) -> Perm:
     """Result of the two-stack machine: the restricted pass then a 21-pass."""
-    return stack_pass(PATTERN_21, stack_pass(forbidden, perm))
+    return _pass(PATTERN_21, stack_pass(forbidden, perm))
 
 
 def is_sortable(forbidden: Perm, perm: Perm) -> bool:
     """True iff the machine sorts perm, i.e. the first pass emits a
     231-avoiding permutation (equivalently machine_output is the identity)."""
-    _check_forbidden(forbidden)
-    return _sortable_pass(forbidden, perm) is not None
-
-
-def _sortable_pass(forbidden: Perm, perm: Perm) -> Perm | None:
-    """First-pass output if it avoids 231, else None (aborts at the first
-    231 occurrence, which can only ever appear at the end of the output)."""
-    stack: list[int] = []
-    out: list[int] = []
-    mono: list[int] = []
-    ceiling = 0
-    for v in perm:
-        while stack and push_blocked(v, stack, forbidden):
-            t = stack.pop()
-            if t < ceiling:
-                return None
-            while mono and mono[-1] < t:
-                ceiling = mono.pop()
-            mono.append(t)
-            out.append(t)
-        stack.append(v)
-    while stack:
-        t = stack.pop()
-        if t < ceiling:
-            return None
-        while mono and mono[-1] < t:
-            ceiling = mono.pop()
-        mono.append(t)
-        out.append(t)
-    return tuple(out)
+    return _pass(check_forbidden(forbidden), perm, watch=True) is not None
 
 
 def replay_trace(perm: Perm, trace: MachineTrace) -> Perm:
@@ -193,26 +206,5 @@ def replay_trace(perm: Perm, trace: MachineTrace) -> Perm:
     return tuple(out)
 
 
-def trace_lines(trace: MachineTrace) -> list[str]:
-    """One event per line: "push v" / "pop v"."""
-    return [f"{ev.op} {ev.value}" for ev in trace]
-
-
-def parse_trace_lines(lines: Sequence[str]) -> MachineTrace:
-    events = []
-    for line in lines:
-        op, value = line.split()
-        if op not in ("push", "pop"):
-            raise ValueError(f"unknown event {op!r}")
-        events.append(TraceEvent(op, int(value)))
-    return tuple(events)
-
-
 def trace_json(trace: MachineTrace) -> list[dict]:
     return [{"op": ev.op, "value": ev.value} for ev in trace]
-
-
-def sorts_to_identity(forbidden: Perm, perm: Perm) -> bool:
-    """Definitional sortability check via the full machine; oracle twin of
-    is_sortable."""
-    return machine_output(forbidden, perm) == identity(len(perm))

@@ -104,19 +104,26 @@ def swap_first_two(p: Perm) -> Perm:
     return (p[1], p[0]) + p[2:]
 
 
-def _contains_231(host: Sequence[int]) -> bool:
-    # One left-to-right pass; `ceiling` is the largest value already known to
-    # have a bigger element after it, so any later value below `ceiling`
-    # completes an occurrence.
-    ceiling = 0
-    stack: list[int] = []
-    for v in host:
+def watch_231(values: Iterable[int], mono: list[int], ceiling: int) -> int:
+    """Feed values to Knuth's one-pass 231 detector and return its new
+    ceiling, or -1 once the values seen so far contain 231.
+
+    `ceiling` is the largest value already known to have a bigger element
+    after it, so any later value below it completes an occurrence; `mono`
+    (updated in place) holds the values still waiting for a bigger one.
+    Start a fresh scan with an empty list and ceiling 0.
+    """
+    for v in values:
         if v < ceiling:
-            return True
-        while stack and stack[-1] < v:
-            ceiling = stack.pop()
-        stack.append(v)
-    return False
+            return -1
+        while mono and mono[-1] < v:
+            ceiling = mono.pop()
+        mono.append(v)
+    return ceiling
+
+
+def _contains_231(host: Sequence[int]) -> bool:
+    return watch_231(host, [], 0) < 0
 
 
 def _contains_132(host: Sequence[int]) -> bool:

@@ -4,7 +4,8 @@ formulas and reference sequences, at desk scale.
 Every check pits a predicate or closed form against exhaustive enumeration
 and reports one line per instance: "<id> | <pattern> | <n> | PASS/FAIL".
 Conjectured facts are reported as FINDING instead of asserted; reference
-rows that have no published values to pin are reported as INFO.
+rows that have no published values to pin, and predicted witnesses not yet
+found by a search that stops below n = WITNESS_N, are reported as INFO.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ EQUINUMEROUS_COUNTS = (1, 2, 5, 15, 52, 201, 843, 3764)
 
 FISHBURN_NUMBERS = (1, 2, 5, 15, 53)
 
+# Length by which every predicted witness (a sortable input with a
+# non-sortable pattern, a sortable input containing anchored 132, a sorted
+# output containing the pattern) has shown up for patterns of length <= 4;
+# the last ones, for 4123 and 4132, first appear at n = 7.
+WITNESS_N = 7
+
 
 def west_two_stack_count(n: int) -> int:
     """Closed form for the number of permutations sortable by two passes
@@ -147,6 +154,15 @@ def profile_items(n: int, forbidden: Perm) -> tuple[tuple[Perm, int], ...]:
     return tuple(sorted_profile(n, forbidden).entries.items())
 
 
+def _witness_status(found: bool, predicted: bool, max_n: int) -> str:
+    """PASS when a witness turns up exactly as predicted.  A witness found
+    against the prediction fails at every n; a predicted witness that has
+    not turned up only fails once the search reached WITNESS_N."""
+    if found == predicted:
+        return "PASS"
+    return "FAIL" if found or max_n >= WITNESS_N else "INFO"
+
+
 def _patterns_of_length(m: int) -> list[Perm]:
     return list(all_perms(m))
 
@@ -160,7 +176,7 @@ def _fmt(p: Perm) -> str:
 
 
 def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResult]) -> None:
-    witness_cap = min(max_n, 7)
+    witness_cap = min(max_n, WITNESS_N)
     for m in range(3, max_len + 1):
         for pattern in _patterns_of_length(m):
             is_class, basis = sort_is_class(pattern)
@@ -202,13 +218,12 @@ def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResul
                         )
                     )
                 else:
-                    # a violation is only guaranteed to show up by n = 7
                     out.append(
                         CheckResult(
                             "THM 2.2",
                             _fmt(pattern),
                             witness_cap,
-                            "FAIL" if witness_cap >= 7 else "INFO",
+                            _witness_status(False, True, max_n),
                             f"no downset violation within n <= {witness_cap}",
                         )
                     )
@@ -241,15 +256,13 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
                         break
                 if violator:
                     break
-            ok = predicted == (violator is None)
+            status = _witness_status(violator is not None, not predicted, max_n)
             detail = (
                 "all sortables avoid anchored 132"
                 if violator is None
                 else f"sortable {_fmt(violator)} contains anchored 132"
             )
-            out.append(
-                CheckResult("THM 3.4", _fmt(pattern), max_n, "PASS" if ok else "FAIL", detail)
-            )
+            out.append(CheckResult("THM 3.4", _fmt(pattern), max_n, status, detail))
 
 
 def _check_avoider_identity_start(max_n: int, out: list[CheckResult]) -> None:
@@ -282,15 +295,13 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
                         break
                 if violator:
                     break
-            ok = predicted == (violator is None)
+            status = _witness_status(violator is not None, not predicted, max_n)
             detail = (
                 "no sorted output contains the pattern"
                 if violator is None
                 else f"sorted output {_fmt(violator)} contains the pattern"
             )
-            out.append(
-                CheckResult("COR 4.5", _fmt(pattern), max_n, "PASS" if ok else "FAIL", detail)
-            )
+            out.append(CheckResult("COR 4.5", _fmt(pattern), max_n, status, detail))
 
 
 def _check_effective_sorted_sets(max_len: int, max_n: int, out: list[CheckResult]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -182,6 +183,13 @@ def test_fertility_argument_conflicts(capsys):
     assert code == 2
 
 
+def test_fertility_profile_rejects_negative_length(capsys):
+    code, out, err = run(capsys, "fertility", "--sigma", "21", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "n must be >= 0" in err
+
+
 def test_explore_prints_blocks(capsys):
     code, out, _ = run(capsys, "explore", "--max-n", "3")
     assert code == 0
@@ -210,3 +218,46 @@ def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["count", "sortable", "--sigma", "231"])  # missing --max-n
     assert exc.value.code == 2
+
+
+# Pinned stdout SHA-256 and exit code of each command: a refactor of the pass
+# core or the enumerators must leave these outputs byte-identical.
+GOLDEN = [
+    (
+        ["verify", "--suite", "all", "--max-sigma-len", "3", "--max-n", "7"],
+        0,
+        "97e5c9d4ffe6456d04012f117d7d2d9a7591d828075d3dcd533fffa721fda4c2",
+    ),
+    (
+        ["count", "sortable", "--sigma", "2134", "--max-n", "7"],
+        0,
+        "1388df96631f99882a0e8dc449bcdbde3ca941d332651bc11fc65543ce12e396",
+    ),
+    (
+        ["count", "sorted", "--sigma", "4123", "--max-n", "7", "--format", "csv"],
+        0,
+        "36a1cdfc8ed2406f8bb6eab625812939eadc0886731e8f406450acf2e0d36035",
+    ),
+    (
+        ["fertility", "--sigma", "123", "--n", "5"],
+        0,
+        "13a91bb4432e3b8f588a5cefb9febbe84285291d1bd2677021260cdba19782d5",
+    ),
+    (
+        # the input avoids 132
+        ["trace", "1342", "10 9 11 12 5 3 2 4 6 7 1 8", "--format", "json"],
+        0,
+        "9d4fa22af50ef3cdf82e4f08532dd10a7217b5ea1b77e42eaa1d5eaf4bcf0dc8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    GOLDEN,
+    ids=["verify-3-7", "count-sortable-2134", "count-sorted-4123", "fertility-123", "trace-1342"],
+)
+def test_golden_output(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -12,7 +12,7 @@ from stacksort.enumeration import (
     sortable_permutations,
     sorted_profile,
 )
-from stacksort.machine import sorts_to_identity, stack_pass
+from oracles import naive_stack_pass, sorts_to_identity
 from stacksort.perms import all_perms, contains
 
 SAMPLE_PATTERNS = [
@@ -83,7 +83,7 @@ def test_sorted_profile_matches_brute_force():
         for n in range(0, 6):
             brute = {}
             for p in brute_sortables(n, forbidden):
-                out = stack_pass(forbidden, p)
+                out = naive_stack_pass(forbidden, p)
                 brute[out] = brute.get(out, 0) + 1
             prof = sorted_profile(n, forbidden)
             assert prof.entries == brute
@@ -121,10 +121,20 @@ def test_fertility_examples():
 def test_fertility_matches_full_scan(forbidden):
     for n in range(1, 6):
         scan = {}
-        for p, out in machine_outputs(n, forbidden):
+        for p in all_perms(n):
+            out = naive_stack_pass(forbidden, p)
             scan[out] = scan.get(out, 0) + 1
         for gamma in all_perms(n):
             assert fertility(forbidden, gamma) == scan.get(gamma, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_machine_outputs_match_naive_pass(k):
+    for forbidden in all_perms(k):
+        for n in range(6):
+            assert list(machine_outputs(n, forbidden)) == [
+                (p, naive_stack_pass(forbidden, p)) for p in all_perms(n)
+            ]
 
 
 def test_fertility_of_231_avoiding_outputs_equals_profile_entry():
@@ -151,6 +161,35 @@ def test_enumeration_rejects_short_forbidden_pattern():
         list(sortable_permutations(3, (1,)))
     with pytest.raises(ValueError):
         fertility((1,), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_sortable(4, (2, 2, 1)),
+        lambda: sorted_profile(3, (1, 5)),
+        lambda: fertility((0, 9), (2, 1, 3)),
+        lambda: machine_outputs(3, (1, 1)),
+        lambda: sortable_permutations(-1, (2, 3, 1)),
+        lambda: count_sortable(-1, (2, 3, 1)),
+        lambda: sorted_profile(-1, (2, 3, 1)),
+        lambda: machine_outputs(-1, (2, 3, 1)),
+    ],
+    ids=[
+        "count_sortable-repeat",
+        "sorted_profile-gap",
+        "fertility-range",
+        "machine_outputs-repeat",
+        "sortable_permutations-negative-n",
+        "count_sortable-negative-n",
+        "sorted_profile-negative-n",
+        "machine_outputs-negative-n",
+    ],
+)
+def test_enumeration_rejects_bad_pattern_or_length(call):
+    # raised at the call, before any permutation is produced
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_count_sortable_123_formula_values():

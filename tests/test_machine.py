@@ -3,33 +3,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import naive_stack_pass, naive_stack_pass_traced, sorts_to_identity
 from stacksort.machine import (
     TraceEvent,
     is_sortable,
     machine_output,
-    parse_trace_lines,
     push_blocked,
     replay_trace,
-    sorts_to_identity,
     stack_pass,
     stack_pass_traced,
     trace_json,
-    trace_lines,
 )
 from stacksort.perms import all_perms, contains, identity, reverse, swap_first_two
-
-
-def naive_stack_pass(forbidden, perm):
-    # Oracle: test each push by checking the whole would-be content for an
-    # occurrence of the forbidden pattern (not just anchored ones).
-    stack, out = [], []
-    for v in perm:
-        while stack and contains((v,) + tuple(reversed(stack)), forbidden):
-            out.append(stack.pop())
-        stack.append(v)
-    while stack:
-        out.append(stack.pop())
-    return tuple(out)
 
 
 def test_figure_trace_schedule():
@@ -68,6 +53,21 @@ def test_forbidden_pattern_too_short():
         is_sortable((), (1,))
     with pytest.raises(ValueError):
         machine_output((1,), (1,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: machine_output((1, 1), (2, 1, 3)),
+        lambda: stack_pass((2, 2, 1), (2, 1, 3)),
+        lambda: stack_pass_traced((1, 5), (2, 1)),
+        lambda: is_sortable((0, 9), (2, 1, 3)),
+    ],
+    ids=["machine_output-repeat", "stack_pass-repeat", "traced-gap", "is_sortable-range"],
+)
+def test_forbidden_pattern_must_be_a_permutation(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_stack_pass_matches_naive_oracle():
@@ -198,13 +198,52 @@ def test_replay_rejects_inconsistent_traces():
 
 def test_trace_serialization_round_trip():
     _, trace = stack_pass_traced((2, 3, 1), (2, 4, 1, 3))
-    lines = trace_lines(trace)
-    assert lines[0] == "push 2"
-    assert lines[3] == "pop 1"
-    assert parse_trace_lines(lines) == trace
     as_json = trace_json(trace)
     assert as_json[0] == {"op": "push", "value": 2}
     assert tuple(TraceEvent(d["op"], d["value"]) for d in as_json) == trace
+
+
+def _avoider_132(splits):
+    # 132-avoider of length len(splits): the maximum sits after a 132-avoider
+    # of the largest remaining values and before one of the smallest
+    def build(values, i):
+        if not values:
+            return (), i
+        k = splits[i] % len(values)
+        high, i = build(values[len(values) - 1 - k : -1], i + 1)
+        low, i = build(values[: len(values) - 1 - k], i)
+        return high + (values[-1],) + low, i
+
+    return build(tuple(range(1, len(splits) + 1)), 0)[0]
+
+
+LONG_INPUTS = st.one_of(
+    st.integers(0, 30).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
+    st.lists(st.integers(0, 29), max_size=30).map(_avoider_132),
+)
+
+
+def test_avoider_132_builder():
+    for n in range(6):
+        built = set()
+        for code in range(n**n if n else 1):
+            splits = [(code // n**i) % n for i in range(n)] if n else []
+            built.add(_avoider_132(splits))
+        assert built == {p for p in all_perms(n) if not contains(p, (1, 3, 2))}
+
+
+@pytest.mark.parametrize(
+    "forbidden", list(all_perms(3)) + list(all_perms(4)), ids=lambda p: "".join(map(str, p))
+)
+@given(p=LONG_INPUTS)
+@settings(max_examples=40, deadline=None)
+def test_pass_matches_oracle_on_long_inputs(forbidden, p):
+    out, events = naive_stack_pass_traced(forbidden, p)
+    assert stack_pass(forbidden, p) == out
+    traced_out, trace = stack_pass_traced(forbidden, p)
+    assert traced_out == out
+    assert [(ev.op, ev.value) for ev in trace] == events
+    assert is_sortable(forbidden, p) == sorts_to_identity(forbidden, p)
 
 
 def test_trace_is_fast():

@@ -1,5 +1,7 @@
 from stacksort.verify import (
+    WITNESS_N,
     CheckResult,
+    _witness_status,
     has_failure,
     render_report,
     verify_conjectures,
@@ -81,3 +83,21 @@ def test_failures_are_detected():
     finding = CheckResult("X", "-", 1, "FINDING")
     assert not has_failure([ok, finding])
     assert has_failure([ok, bad])
+
+
+def test_theorem_suite_below_witness_length_has_no_fail():
+    # the witnesses for 4123 and 4132 first appear at n = 7, so a run to
+    # n = 6 reports them as not yet found instead of failing
+    results = verify_theorems(4, 6)
+    assert not has_failure(results)
+    info = {(r.check_id, r.subject) for r in results if r.status == "INFO"}
+    assert {("COR 4.5", "4 1 2 3"), ("COR 4.5", "4 1 3 2")} <= info
+
+
+def test_witness_status_rule():
+    assert _witness_status(True, True, 3) == "PASS"
+    assert _witness_status(False, False, 3) == "PASS"
+    assert _witness_status(False, True, WITNESS_N - 1) == "INFO"
+    assert _witness_status(False, True, WITNESS_N) == "FAIL"
+    # a witness against the prediction fails at every n
+    assert _witness_status(True, False, 1) == "FAIL"
