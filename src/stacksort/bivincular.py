@@ -6,7 +6,9 @@ consecutive in the host, and an element y of val_adj forces the y-th and
 (y+1)-th smallest occurrence values to be consecutive integers.  The boundary
 indices 0 and k anchor to the host's ends: 0 in pos_adj pins the occurrence
 to start at position 1, k in pos_adj pins it to end at position n, and
-symmetrically for val_adj on values 1 and n.
+symmetrically for val_adj on values 1 and n.  The search is `perms.match`,
+which takes pos_adj as its position ties; the value adjacencies are checked
+on each occurrence it yields.
 
 The module constant ANCHORED_132 is the pattern (132, {0, 2}, {}): an
 occurrence of 132 that starts at the first entry and whose last two entries
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .perms import Perm, all_perms, parse_perm, format_perm, reverse
+from .perms import Perm, all_perms, format_perm, match, parse_perm, reverse
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ FISHBURN_PATTERN = BivincularPattern((2, 3, 1), frozenset({1}), frozenset({1}))
 
 
 def _value_constraints_ok(values: Sequence[int], val_adj: frozenset[int], n: int) -> bool:
-    if not val_adj:
+    if not val_adj or not values:
         return True
     k = len(values)
     j = sorted(values)
@@ -67,42 +69,10 @@ def _value_constraints_ok(values: Sequence[int], val_adj: frozenset[int], n: int
 
 
 def _bivincular_search(host: Perm, bp: BivincularPattern) -> Iterator[tuple[int, ...]]:
-    pattern = bp.pattern
-    k = len(pattern)
     n = len(host)
-    if k > n:
-        return
-    if k == 0:
-        yield ()
-        return
-    chosen: list[int] = []  # 0-based host indices
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        m = len(chosen)
-        if m == k:
-            if _value_constraints_ok([host[i] for i in chosen], bp.val_adj, n):
-                yield tuple(i + 1 for i in chosen)
-            return
-        # positions forced by adjacency: m in pos_adj ties i_{m+1} to i_m
-        if m == 0:
-            candidates = range(0, 1) if 0 in bp.pos_adj else range(0, n - k + 1)
-        elif m in bp.pos_adj:
-            candidates = range(chosen[-1] + 1, chosen[-1] + 2)
-        else:
-            candidates = range(chosen[-1] + 1, n - (k - m) + 1)
-        last_forced_to_end = (m == k - 1) and (k in bp.pos_adj)
-        for i in candidates:
-            if i >= n:
-                break
-            if last_forced_to_end and i != n - 1:
-                continue
-            v = host[i]
-            if all((v > host[j]) == (pattern[m] > pattern[a]) for a, j in enumerate(chosen)):
-                chosen.append(i)
-                yield from extend()
-                chosen.pop()
-
-    yield from extend()
+    for occ in match(host, bp.pattern, bp.pos_adj):
+        if _value_constraints_ok([host[i] for i in occ], bp.val_adj, n):
+            yield tuple(i + 1 for i in occ)
 
 
 def contains_bivincular(host: Perm, bp: BivincularPattern) -> bool:

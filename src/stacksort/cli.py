@@ -101,6 +101,8 @@ def _check_guard(args: argparse.Namespace) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    if args.max_n < 0:  # the range below would make no library call to reject it
+        raise UsageError("n must be >= 0")
     if args.what in ("sortable", "sorted"):
         if args.sigma is None:
             raise UsageError(f"count {args.what} requires --sigma")

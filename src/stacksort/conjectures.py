@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .bivincular import FISHBURN_PATTERN, contains_bivincular
 from .enumeration import sortable_permutations
-from .perms import Perm, all_perms, contains
+from .perms import Perm, all_perms, contains, match
 
 Word = tuple[int, ...]
 
@@ -75,30 +75,7 @@ def ascent_sequences(n: int) -> Iterator[Word]:
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """Subsequence containment for words: order-isomorphic with equalities
     respected."""
-    k = len(pattern)
-    if k == 0:
-        return True
-    if k > len(word):
-        return False
-    chosen: list[int] = []
-
-    def cmp(a: int, b: int) -> int:
-        return (a > b) - (a < b)
-
-    def extend(start: int) -> bool:
-        m = len(chosen)
-        if m == k:
-            return True
-        for i in range(start, len(word) - (k - m) + 1):
-            v = word[i]
-            if all(cmp(v, word[j]) == cmp(pattern[m], pattern[a]) for a, j in enumerate(chosen)):
-                chosen.append(i)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
+    return next(match(word, pattern), None) is not None
 
 
 def ascent_sequences_avoiding(n: int, pattern: Sequence[int]) -> Iterator[Word]:

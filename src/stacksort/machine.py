@@ -16,7 +16,11 @@ record the push/pop events and feed the output to the 231 watcher of
 
 Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence, so the push
-test searches occurrences anchored at the candidate.
+test searches occurrences anchored at the candidate: `_anchored3` for
+patterns of length 3, and for longer ones `perms.match` on the candidate
+followed by the content, top to bottom, with the first entry pinned to the
+candidate.  The public functions check the forbidden pattern and the input
+permutation once per call and raise ValueError on anything else.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .perms import Perm, as_perm, watch_231
+from .perms import Perm, as_perm, match, watch_231
 
 PATTERN_21: Perm = (2, 1)
+_PINNED_START = frozenset({0})  # occurrences start at the candidate
 
 
 @dataclass(frozen=True)
@@ -56,30 +61,6 @@ def _anchored3(v: int, stack: Sequence[int], s1: int, s2: int, s3: int) -> bool:
     return False
 
 
-def _anchored_generic(v: int, stack: Sequence[int], forbidden: Perm) -> bool:
-    k = len(forbidden)
-    below = stack[::-1]  # top to bottom
-    m = len(below)
-    if m < k - 1:
-        return False
-    vals = [v]
-
-    def extend(start: int) -> bool:
-        depth = len(vals)
-        if depth == k:
-            return True
-        for i in range(start, m - (k - depth) + 1):
-            c = below[i]
-            if all((c > vals[a]) == (forbidden[depth] > forbidden[a]) for a in range(depth)):
-                vals.append(c)
-                if extend(i + 1):
-                    return True
-                vals.pop()
-        return False
-
-    return extend(0)
-
-
 def push_blocked(v: int, stack: Sequence[int], forbidden: Perm) -> bool:
     """Would pushing v (on top of stack, listed bottom to top) complete an
     occurrence of the forbidden pattern in the content read top to bottom?"""
@@ -93,7 +74,7 @@ def push_blocked(v: int, stack: Sequence[int], forbidden: Perm) -> bool:
         return v < stack[-1]
     if k == 3:
         return _anchored3(v, stack, *forbidden)
-    return _anchored_generic(v, stack, forbidden)
+    return next(match([v, *reversed(stack)], forbidden, _PINNED_START), None) is not None
 
 
 def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
@@ -160,13 +141,13 @@ def _pass(
 
 def stack_pass(forbidden: Perm, perm: Perm) -> Perm:
     """Output of one greedy pass of perm through a forbidden-pattern stack."""
-    return _pass(check_forbidden(forbidden), perm)
+    return _pass(check_forbidden(forbidden), as_perm(perm))
 
 
 def stack_pass_traced(forbidden: Perm, perm: Perm) -> tuple[Perm, MachineTrace]:
     """Like stack_pass, also returning the full push/pop event sequence."""
     events: list[TraceEvent] = []
-    out = _pass(check_forbidden(forbidden), perm, events)
+    out = _pass(check_forbidden(forbidden), as_perm(perm), events)
     return out, tuple(events)
 
 
@@ -178,7 +159,7 @@ def machine_output(forbidden: Perm, perm: Perm) -> Perm:
 def is_sortable(forbidden: Perm, perm: Perm) -> bool:
     """True iff the machine sorts perm, i.e. the first pass emits a
     231-avoiding permutation (equivalently machine_output is the identity)."""
-    return _pass(check_forbidden(forbidden), perm, watch=True) is not None
+    return _pass(check_forbidden(forbidden), as_perm(perm), watch=True) is not None
 
 
 def replay_trace(perm: Perm, trace: MachineTrace) -> Perm:

@@ -7,12 +7,24 @@ the identity element for both sums and is contained in everything.
 Text form: entries separated by whitespace or commas ("2 4 1 3"), or a
 compact digit string ("2413") accepted on input only when n <= 9.  Output
 always uses the separated form.
+
+`match` is the library's one pattern search; containment, occurrence
+listing, the stack's push test, bivincular patterns and word patterns all
+run on it.  It handles words (repeated values) and position ties, accepts a
+candidate entry by one window test against the chosen entries just below,
+equal to and just above it in the pattern, and keeps its backtracking state
+in lists rather than on the call stack, so no input length reaches the
+recursion limit.  `contains` answers 231, 132 and patterns of length at most
+2 with O(n) scans instead.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+import math
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -130,33 +142,82 @@ def _contains_132(host: Sequence[int]) -> bool:
     return _contains_231(host[::-1])
 
 
-def _occurrence_search(host: Sequence[int], pattern: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # Backtracking over index tuples; candidate extensions must preserve the
-    # pairwise order relations of the pattern prefix.
-    k = len(pattern)
-    n = len(host)
-    chosen: list[int] = []  # 0-based host indices
+@functools.lru_cache(maxsize=256)
+def _windows(pattern: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    # For each entry: the earlier entries holding the next smaller and the next
+    # larger value (-1 and -2 when there is none, the sentinel slots of match's
+    # `vals`) and a shift of 0; or an earlier equal entry twice, with shift 1.
+    seen: list[tuple[int, int]] = []  # (value, index) of earlier entries, sorted
+    out = []
+    for m, x in enumerate(pattern):
+        j = bisect.bisect_left(seen, (x,))
+        if j < len(seen) and seen[j][0] == x:
+            out.append((seen[j][1], seen[j][1], 1))
+        else:
+            out.append((seen[j - 1][1] if j else -1, seen[j][1] if j < len(seen) else -2, 0))
+        bisect.insort(seen, (x, m))
+    return tuple(out)
 
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        m = len(chosen)
-        if m == k:
-            yield tuple(i + 1 for i in chosen)
-            return
-        for i in range(start, n - (k - m) + 1):
-            v = host[i]
-            if all((v > host[j]) == (pattern[m] > pattern[a]) for a, j in enumerate(chosen)):
-                chosen.append(i)
-                yield from extend(i + 1)
-                chosen.pop()
 
-    yield from extend(0)
+def match(
+    host: Sequence[int], pattern: Sequence[int], tied: AbstractSet[int] = frozenset()
+) -> Iterator[tuple[int, ...]]:
+    """Yield every occurrence of pattern in host as a tuple of 0-based
+    indices, in lexicographic order.
+
+    Host and pattern are integer sequences and may repeat values (words):
+    an occurrence is a subsequence whose entries compare pairwise, equalities
+    included, as the pattern's do.  `tied` holds position adjacencies with
+    the meaning of `BivincularPattern.pos_adj`: 0 pins the first entry to the
+    host's first position, k pins the last entry to its last, and 0 < x < k
+    makes entry x directly follow entry x - 1.
+    """
+    k, n = len(pattern), len(host)
+    if k > n:
+        return
+    if k == 0:
+        yield ()
+        return
+    windows = _windows(tuple(pattern))
+    chosen = [0] * k
+    vals = [0] * k + [math.inf, -math.inf]  # host values of chosen, then sentinels
+    last = n - 1 if k in tied else 0  # lowest index the last entry may take
+    m = i = 0
+    while True:
+        # Integer entries: low < x < high, or x equal to an earlier entry's
+        # value as low, high = value -/+ 1.
+        a, b, s = windows[m]
+        low, high = vals[a] - s, vals[b] + s
+        # a tie leaves one position: the first, or the one after entry m - 1
+        stop = (chosen[m - 1] + 2 if m else 1) if m in tied else n - k + m + 1
+        if i < last and m == k - 1:
+            i = last
+        for i in range(i, stop):
+            if low < host[i] < high:
+                break
+        else:
+            m -= 1
+            if m < 0:
+                return
+            i = chosen[m] + 1
+            continue
+        chosen[m] = i
+        vals[m] = host[i]
+        i += 1
+        if m < k - 1:
+            m += 1
+        else:
+            yield tuple(chosen)
 
 
 def contains(host: Perm, pattern: Perm) -> bool:
     """True iff some subsequence of host is order-isomorphic to pattern.
 
-    The empty pattern is contained in everything.
+    The pattern must be a permutation (ValueError otherwise); the host is
+    any sequence of distinct integers.  The empty pattern is contained in
+    everything.
     """
+    pattern = as_perm(pattern)
     k = len(pattern)
     if k == 0:
         return True
@@ -173,17 +234,17 @@ def contains(host: Perm, pattern: Perm) -> bool:
         return _contains_231(host)
     if pattern == (1, 3, 2):
         return _contains_132(host)
-    return next(_occurrence_search(host, pattern), None) is not None
+    return next(match(host, pattern), None) is not None
 
 
 def occurrences(host: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:
     """Yield every occurrence of pattern in host as a tuple of 1-based indices.
 
     Occurrences come out in lexicographic index order, each exactly once.
+    The pattern must be a permutation (ValueError otherwise).
     """
-    if len(pattern) > len(host):
-        return iter(())
-    return _occurrence_search(host, pattern)
+    pattern = as_perm(pattern)
+    return (tuple(i + 1 for i in occ) for occ in match(host, pattern))
 
 
 def all_perms(n: int) -> Iterator[Perm]:

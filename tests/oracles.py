@@ -1,12 +1,71 @@
-"""Definitional oracles for the stack machine, independent of the library's
-pass core: no anchored push test, no 231 watcher and no prefix-tree walk."""
+"""Definitional oracles, independent of the library's search and pass core:
+no `perms.match`, no anchored push test, no 231 watcher and no prefix-tree
+walk."""
 
-from stacksort.perms import identity, occurrences
+import itertools
+
+from stacksort.perms import identity
 
 
-def _contains(word, pattern):
-    # generic backtracking search, never the 231/132 stack scans
-    return next(occurrences(word, pattern), None) is not None
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def backtrack_occurrences(host, pattern):
+    """Every occurrence of pattern in host (both may repeat values) as
+    1-based index tuples, in lexicographic order.  Backtracking over index
+    tuples: each candidate is compared with every entry chosen so far.  The
+    recursion is as deep as the pattern is long."""
+    k, n = len(pattern), len(host)
+    chosen = []  # 0-based host indices
+
+    def extend(start):
+        m = len(chosen)
+        if m == k:
+            yield tuple(i + 1 for i in chosen)
+            return
+        for i in range(start, n - (k - m) + 1):
+            if all(
+                _sign(host[i], host[j]) == _sign(pattern[m], pattern[a])
+                for a, j in enumerate(chosen)
+            ):
+                chosen.append(i)
+                yield from extend(i + 1)
+                chosen.pop()
+
+    return extend(0)
+
+
+def backtrack_contains(host, pattern):
+    return next(backtrack_occurrences(host, pattern), None) is not None
+
+
+def brute_occurrences(host, pattern, pos_adj=frozenset(), val_adj=frozenset()):
+    """Every occurrence as 1-based index tuples, lexicographic: each k-subset
+    of positions is tested on its own.  pos_adj and val_adj are the
+    bivincular adjacencies: x in pos_adj puts the occurrence's x-th and
+    (x+1)-th entries (1-based) at consecutive positions, where 0 and k tie
+    its ends to the host's; y in val_adj makes its y-th and (y+1)-th smallest
+    values consecutive integers, where 0 and k tie them to 1 and len(host)."""
+    k, n = len(pattern), len(host)
+    for idx in itertools.combinations(range(n), k):
+        if any(
+            _sign(host[idx[a]], host[idx[b]]) != _sign(pattern[a], pattern[b])
+            for a in range(k)
+            for b in range(a)
+        ):
+            continue
+        pos = (-1,) + idx + (n,)  # entry x sits at pos[x + 1]
+        if k and any(pos[x + 1] - pos[x] != 1 for x in pos_adj):
+            continue
+        vals = (0,) + tuple(sorted(host[i] for i in idx)) + (n + 1,)
+        if k and any(vals[y + 1] - vals[y] != 1 for y in val_adj):
+            continue
+        yield tuple(i + 1 for i in idx)
+
+
+def brute_contains(host, pattern):
+    return next(brute_occurrences(host, pattern), None) is not None
 
 
 def naive_stack_pass_traced(forbidden, perm):
@@ -15,7 +74,7 @@ def naive_stack_pass_traced(forbidden, perm):
     just anchored ones; returns the output and the (op, value) events."""
     stack, out, events = [], [], []
     for v in perm:
-        while stack and _contains((v,) + tuple(reversed(stack)), forbidden):
+        while stack and backtrack_contains((v,) + tuple(reversed(stack)), forbidden):
             out.append(stack.pop())
             events.append(("pop", out[-1]))
         stack.append(v)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import brute_occurrences
 from stacksort.bivincular import (
     ANCHORED_132,
     ANCHORED_132_REVERSED,
@@ -124,6 +125,14 @@ def test_reverse_bivincular_contract_exhaustive_for_main_patterns():
         for n in range(0, 7):
             for p in all_perms(n):
                 assert contains_bivincular(reverse(p), bp) == contains_bivincular(p, rbp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bp_strategy(4), perm_strategy(9))
+def test_bivincular_occurrences_match_brute_force(bp, p):
+    assert list(bivincular_occurrences(p, bp)) == list(
+        brute_occurrences(p, bp.pattern, bp.pos_adj, bp.val_adj)
+    )
 
 
 def test_bivincular_occurrences_are_valid():

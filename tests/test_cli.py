@@ -190,6 +190,14 @@ def test_fertility_profile_rejects_negative_length(capsys):
     assert "n must be >= 0" in err
 
 
+@pytest.mark.parametrize("what", ["sortable", "sorted", "anchored132"])
+def test_count_rejects_negative_length(capsys, what):
+    code, out, err = run(capsys, "count", what, "--sigma", "21", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "error: n must be >= 0" in err
+
+
 def test_explore_prints_blocks(capsys):
     code, out, _ = run(capsys, "explore", "--max-n", "3")
     assert code == 0

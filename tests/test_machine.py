@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_stack_pass, naive_stack_pass_traced, sorts_to_identity
+from oracles import backtrack_contains, naive_stack_pass, naive_stack_pass_traced, sorts_to_identity
 from stacksort.machine import (
     TraceEvent,
     is_sortable,
@@ -66,6 +66,21 @@ def test_forbidden_pattern_too_short():
     ids=["machine_output-repeat", "stack_pass-repeat", "traced-gap", "is_sortable-range"],
 )
 def test_forbidden_pattern_must_be_a_permutation(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stack_pass((2, 3, 1), (0, 5, 9)),
+        lambda: stack_pass_traced((2, 3, 1), (1, 1, 2)),
+        lambda: machine_output((2, 1), (2, 4)),
+        lambda: is_sortable((1, 3, 2), (3, 1, 2, 2)),
+    ],
+    ids=["stack_pass-range", "traced-repeat", "machine_output-gap", "is_sortable-repeat"],
+)
+def test_input_must_be_a_permutation(call):
     with pytest.raises(ValueError):
         call()
 
@@ -181,9 +196,9 @@ def test_push_blocked_matches_whole_content_check(forbidden, values):
     # simulator produces), the anchored test agrees with re-checking the
     # whole would-be content.
     v, stack = values[0], list(values[1:])
-    if contains(tuple(reversed(stack)), forbidden):
+    if backtrack_contains(tuple(reversed(stack)), forbidden):
         return
-    assert push_blocked(v, stack, forbidden) == contains(
+    assert push_blocked(v, stack, forbidden) == backtrack_contains(
         (v,) + tuple(reversed(stack)), forbidden
     )
 

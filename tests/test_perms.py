@@ -1,8 +1,9 @@
-import itertools
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import backtrack_occurrences, brute_contains, brute_occurrences
 from stacksort.perms import (
     all_perms,
     as_perm,
@@ -11,6 +12,7 @@ from stacksort.perms import (
     direct_sum,
     format_perm,
     identity,
+    match,
     occurrences,
     parse_perm,
     reverse,
@@ -24,14 +26,6 @@ from stacksort.enumeration import catalan
 def perm_strategy(max_n=6, min_n=0):
     return st.integers(min_value=min_n, max_value=max_n).flatmap(
         lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
-    )
-
-
-def brute_contains(host, pattern):
-    k = len(pattern)
-    return any(
-        standardize([host[i] for i in idx]) == pattern
-        for idx in itertools.combinations(range(len(host)), k)
     )
 
 
@@ -61,6 +55,52 @@ def test_contains_matches_brute_force():
             for k in range(0, 5):
                 for pattern in all_perms(k):
                     assert contains(host, pattern) == brute_contains(host, pattern)
+
+
+def _sequence(max_n, word):
+    # a permutation of 1..n, or a word over the letters 0..3
+    if word:
+        return st.lists(st.integers(0, 3), max_size=max_n).map(tuple)
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
+    )
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_match_lists_every_occurrence_in_order(data):
+    word = data.draw(st.booleans())
+    host = data.draw(_sequence(14, word))
+    pattern = data.draw(_sequence(5, word).filter(len))
+    tied = data.draw(st.sets(st.integers(0, len(pattern))))
+    got = [tuple(i + 1 for i in occ) for occ in match(host, pattern, tied)]
+    assert got == list(brute_occurrences(host, pattern, tied))
+    if not tied:
+        assert got == list(backtrack_occurrences(host, pattern))
+
+
+def test_long_pattern_does_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        assert contains(identity(1200), identity(1100))
+        assert list(occurrences(identity(1100), identity(1100))) == [identity(1100)]
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: contains((3, 1, 2), (1, 1)),
+        lambda: contains((3, 1, 2), (2, 3)),
+        lambda: occurrences((3, 1, 2), (0, 1)),
+    ],
+    ids=["contains-repeat", "contains-gap", "occurrences-range"],
+)
+def test_pattern_must_be_a_permutation(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_occurrences_examples():
