@@ -6,9 +6,11 @@ consecutive in the host, and an element y of val_adj forces the y-th and
 (y+1)-th smallest occurrence values to be consecutive integers.  The boundary
 indices 0 and k anchor to the host's ends: 0 in pos_adj pins the occurrence
 to start at position 1, k in pos_adj pins it to end at position n, and
-symmetrically for val_adj on values 1 and n.  The search is `perms.match`,
-which takes pos_adj as its position ties; the value adjacencies are checked
-on each occurrence it yields.
+symmetrically for val_adj on values 1 and n.  The pattern must be a
+permutation (ValueError otherwise); the host is not checked, and value
+adjacencies assume its values are 1..n.  The search is `perms.match`, which
+takes pos_adj as its position ties; the value adjacencies are checked on
+each occurrence it yields.
 
 The module constant ANCHORED_132 is the pattern (132, {0, 2}, {}): an
 occurrence of 132 that starts at the first entry and whose last two entries
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .perms import Perm, all_perms, format_perm, match, parse_perm, reverse
+from .perms import Perm, all_perms, as_perm, format_perm, match, parse_perm, reverse
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,7 @@ class BivincularPattern:
     val_adj: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pattern", as_perm(self.pattern))
         k = len(self.pattern)
         object.__setattr__(self, "pos_adj", frozenset(self.pos_adj))
         object.__setattr__(self, "val_adj", frozenset(self.val_adj))
@@ -68,22 +71,14 @@ def _value_constraints_ok(values: Sequence[int], val_adj: frozenset[int], n: int
     return True
 
 
-def _bivincular_search(host: Perm, bp: BivincularPattern) -> Iterator[tuple[int, ...]]:
-    n = len(host)
-    for occ in match(host, bp.pattern, bp.pos_adj):
-        if _value_constraints_ok([host[i] for i in occ], bp.val_adj, n):
-            yield tuple(i + 1 for i in occ)
-
-
 def contains_bivincular(host: Perm, bp: BivincularPattern) -> bool:
     """True iff host has a classical occurrence of bp.pattern satisfying all
     position- and value-adjacency constraints."""
-    return next(_bivincular_search(host, bp), None) is not None
-
-
-def bivincular_occurrences(host: Perm, bp: BivincularPattern) -> Iterator[tuple[int, ...]]:
-    """All constrained occurrences as 1-based index tuples, lexicographic."""
-    return _bivincular_search(host, bp)
+    n = len(host)
+    return any(
+        _value_constraints_ok([host[i] for i in occ], bp.val_adj, n)
+        for occ in match(host, bp.pattern, bp.pos_adj)
+    )
 
 
 def reverse_bivincular(bp: BivincularPattern) -> BivincularPattern:

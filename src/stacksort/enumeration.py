@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import repeat
+from typing import Callable, Iterator, TypeVar
 
 from .machine import check_forbidden, greedy_push
 from .perms import Perm, as_perm, watch_231
 
 Pair = tuple[Perm, Perm]
+T = TypeVar("T")
 
 # (values a node emits, state at the node) -> state below the node, or None
 # to cut the branch there
@@ -79,15 +81,15 @@ def _never(popped: list[int], state: object) -> object:
     return state
 
 
-def _sortable_leaves(forbidden: Perm, n: int, first: int | None = None) -> Iterator[Pair]:
-    """(input, first-pass output) for every sortable input of length n."""
-    return _walk(forbidden, n, _no_231, ([], 0), first)
+def sortable_pairs(n: int, forbidden: Perm) -> Iterator[Pair]:
+    """(input, first-pass output) for every sortable input of length n,
+    lexicographic input order: the sortable twin of machine_outputs."""
+    return _walk(check_forbidden(forbidden, n), n, _no_231, ([], 0))
 
 
 def sortable_permutations(n: int, forbidden: Perm) -> Iterator[Perm]:
     """All sortable permutations of length n, lexicographic order."""
-    forbidden = check_forbidden(forbidden, n)
-    return (p for p, _ in _sortable_leaves(forbidden, n))
+    return (p for p, _ in sortable_pairs(n, forbidden))
 
 
 def machine_outputs(n: int, forbidden: Perm) -> Iterator[Pair]:
@@ -96,27 +98,35 @@ def machine_outputs(n: int, forbidden: Perm) -> Iterator[Pair]:
     return _walk(check_forbidden(forbidden, n), n, _never, ())
 
 
-def _count_partition(forbidden: Perm, n: int, first: int) -> int:
-    return sum(1 for _ in _sortable_leaves(forbidden, n, first))
+def _count_part(forbidden: Perm, n: int, first: int | None) -> int:
+    return sum(1 for _ in _walk(forbidden, n, _no_231, ([], 0), first))
 
 
-def _profile_partition(forbidden: Perm, n: int, first: int) -> dict[Perm, int]:
+def _profile_part(forbidden: Perm, n: int, first: int | None) -> dict[Perm, int]:
     counts: dict[Perm, int] = {}
-    for _, out in _sortable_leaves(forbidden, n, first):
+    for _, out in _walk(forbidden, n, _no_231, ([], 0), first):
         counts[out] = counts.get(out, 0) + 1
     return counts
+
+
+def _per_first_entry(
+    part: Callable[[Perm, int, int | None], T], forbidden: Perm, n: int, workers: int
+) -> Iterator[T]:
+    """Yield part(forbidden, n, first) for each first entry 1..n, in order,
+    computed on `workers` processes; n = 0 has no first entry and is one
+    whole walk."""
+    firsts = range(1, n + 1) or [None]
+    if workers <= 1:
+        yield from map(part, repeat(forbidden), repeat(n), firsts)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(part, repeat(forbidden), repeat(n), firsts)
 
 
 def count_sortable(n: int, forbidden: Perm, workers: int = 1) -> int:
     """|{p of length n : machine sorts p}|."""
     forbidden = check_forbidden(forbidden, n)
-    if n == 0:
-        return 1
-    firsts = range(1, n + 1)
-    if workers <= 1:
-        return sum(_count_partition(forbidden, n, f) for f in firsts)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_partition, *zip(*[(forbidden, n, f) for f in firsts])))
+    return sum(_per_first_entry(_count_part, forbidden, n, workers))
 
 
 @dataclass
@@ -135,21 +145,10 @@ class SortedProfile:
 def sorted_profile(n: int, forbidden: Perm, workers: int = 1) -> SortedProfile:
     forbidden = check_forbidden(forbidden, n)
     merged: dict[Perm, int] = {}
-    if n == 0:
-        merged[()] = 1
-    elif workers <= 1:
-        for f in range(1, n + 1):
-            for out, c in _profile_partition(forbidden, n, f).items():
-                merged[out] = merged.get(out, 0) + c
-    else:
-        firsts = range(1, n + 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_profile_partition, *zip(*[(forbidden, n, f) for f in firsts]))
-            for part in parts:
-                for out, c in part.items():
-                    merged[out] = merged.get(out, 0) + c
-    ordered = {k: merged[k] for k in sorted(merged)}
-    return SortedProfile(n, forbidden, ordered)
+    for part in _per_first_entry(_profile_part, forbidden, n, workers):
+        for out, c in part.items():
+            merged[out] = merged.get(out, 0) + c
+    return SortedProfile(n, forbidden, {k: merged[k] for k in sorted(merged)})
 
 
 def count_sorted(n: int, forbidden: Perm, workers: int = 1) -> int:

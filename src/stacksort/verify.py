@@ -3,6 +3,9 @@ formulas and reference sequences, at desk scale.
 
 Every check pits a predicate or closed form against exhaustive enumeration
 and reports one line per instance: "<id> | <pattern> | <n> | PASS/FAIL".
+Each machine (pattern, n) is walked once: `sortables` keeps its sortable
+inputs and the profile of their first-pass outputs in one table, which every
+check on that machine reads.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = WITNESS_N, are reported as INFO.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 from .bivincular import (
     avoids_anchored_132_via_blocks,
@@ -27,21 +31,13 @@ from .classify import (
     sort_is_class,
     sortables_avoid_anchored_132,
 )
-from .conjectures import (
-    KINDS,
-    ascent_sequences_avoiding,
-    first_mismatch,
-    fishburn_avoiding,
-    fishburn_permutations,
-    joint_distribution,
-)
+from .conjectures import KINDS, first_mismatch, fishburn_permutations, joint_distribution
 from .enumeration import (
     catalan,
     count_sortable_123_formula,
     gamma_decomposition_123,
     machine_outputs,
-    sortable_permutations,
-    sorted_profile,
+    sortable_pairs,
 )
 from .perms import (
     Perm,
@@ -140,18 +136,36 @@ def has_failure(results: list[CheckResult]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def sortable_set(n: int, forbidden: Perm) -> frozenset[Perm]:
-    return frozenset(sortable_permutations(n, forbidden))
+def sortables(n: int, forbidden: Perm) -> tuple[tuple[Perm, ...], tuple[tuple[Perm, int], ...]]:
+    """(inputs, profile) from one walk: the sortable inputs of length n in
+    lexicographic order, and (output, count) for their first-pass outputs,
+    sorted by output."""
+    inputs: list[Perm] = []
+    counts: dict[Perm, int] = {}
+    for p, out in sortable_pairs(n, forbidden):
+        inputs.append(p)
+        counts[out] = counts.get(out, 0) + 1
+    return tuple(inputs), tuple(sorted(counts.items()))
 
 
 @lru_cache(maxsize=None)
-def avoider_set(n: int, basis: tuple[Perm, ...]) -> frozenset[Perm]:
-    return frozenset(avoiders(n, basis))
+def avoider_set(n: int, basis: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """The avoiders of basis of length n, lexicographic."""
+    return tuple(avoiders(n, basis))
 
 
-@lru_cache(maxsize=None)
-def profile_items(n: int, forbidden: Perm) -> tuple[tuple[Perm, int], ...]:
-    return tuple(sorted_profile(n, forbidden).entries.items())
+def _first_witness(ns: range, witnesses: Callable[[int], Iterable]) -> tuple | None:
+    """The first (n, w) over n in ns, in order, and w in witnesses(n), or
+    None when there is none."""
+    return next(((n, w) for n in ns for w in witnesses(n)), None)
+
+
+def _downset_violations(inputs: tuple[Perm, ...], smaller: tuple[Perm, ...]) -> Iterator[tuple]:
+    """(p, tau) for each input p and each pattern tau of p one entry shorter
+    that is not in smaller."""
+    members = set(smaller)
+    taus = ((p, standardize(p[:i] + p[i + 1 :])) for p in inputs for i in range(len(p)))
+    return ((p, tau) for p, tau in taus if tau not in members)
 
 
 def _witness_status(found: bool, predicted: bool, max_n: int) -> str:
@@ -182,7 +196,7 @@ def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResul
             is_class, basis = sort_is_class(pattern)
             if is_class:
                 for n in range(1, max_n + 1):
-                    ok = sortable_set(n, pattern) == avoider_set(n, tuple(basis))
+                    ok = sortables(n, pattern)[0] == avoider_set(n, tuple(basis))
                     out.append(
                         CheckResult(
                             "THM 2.2",
@@ -193,21 +207,14 @@ def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResul
                         )
                     )
             else:
-                found = None
-                for n in range(m, witness_cap + 1):
-                    smaller = sortable_set(n - 1, pattern)
-                    for p in sorted(sortable_set(n, pattern)):
-                        for i in range(n):
-                            tau = standardize(p[:i] + p[i + 1 :])
-                            if tau not in smaller:
-                                found = (n, p, tau)
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
+                found = _first_witness(
+                    range(m, witness_cap + 1),
+                    lambda n: _downset_violations(
+                        sortables(n, pattern)[0], sortables(n - 1, pattern)[0]
+                    ),
+                )
                 if found:
-                    n, p, tau = found
+                    n, (p, tau) = found
                     out.append(
                         CheckResult(
                             "THM 2.2",
@@ -248,19 +255,15 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
     for m in range(3, max_len + 1):
         for pattern in _patterns_of_length(m):
             predicted = sortables_avoid_anchored_132(pattern)
-            violator = None
-            for n in range(1, max_n + 1):
-                for p in sorted(sortable_set(n, pattern)):
-                    if contains_anchored_132(p):
-                        violator = p
-                        break
-                if violator:
-                    break
-            status = _witness_status(violator is not None, not predicted, max_n)
+            found = _first_witness(
+                range(1, max_n + 1),
+                lambda n: filter(contains_anchored_132, sortables(n, pattern)[0]),
+            )
+            status = _witness_status(found is not None, not predicted, max_n)
             detail = (
                 "all sortables avoid anchored 132"
-                if violator is None
-                else f"sortable {_fmt(violator)} contains anchored 132"
+                if found is None
+                else f"sortable {_fmt(found[1])} contains anchored 132"
             )
             out.append(CheckResult("THM 3.4", _fmt(pattern), max_n, status, detail))
 
@@ -287,19 +290,15 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
     for m in range(2, max_len + 1):
         for pattern in _patterns_of_length(m):
             predicted = is_effective(pattern)
-            violator = None
-            for n in range(1, max_n + 1):
-                for gamma, _ in profile_items(n, pattern):
-                    if contains(gamma, pattern):
-                        violator = gamma
-                        break
-                if violator:
-                    break
-            status = _witness_status(violator is not None, not predicted, max_n)
+            found = _first_witness(
+                range(1, max_n + 1),
+                lambda n: (g for g, _ in sortables(n, pattern)[1] if contains(g, pattern)),
+            )
+            status = _witness_status(found is not None, not predicted, max_n)
             detail = (
                 "no sorted output contains the pattern"
-                if violator is None
-                else f"sorted output {_fmt(violator)} contains the pattern"
+                if found is None
+                else f"sorted output {_fmt(found[1])} contains the pattern"
             )
             out.append(CheckResult("COR 4.5", _fmt(pattern), max_n, status, detail))
 
@@ -309,12 +308,11 @@ def _check_effective_sorted_sets(max_len: int, max_n: int, out: list[CheckResult
         for pattern in _patterns_of_length(m):
             if not is_effective(pattern):
                 continue
-            ok = True
-            for n in range(1, max_n + 1):
-                keys = frozenset(g for g, _ in profile_items(n, pattern))
-                if keys != avoider_set(n, ((2, 3, 1), pattern)):
-                    ok = False
-                    break
+            ok = all(
+                tuple(g for g, _ in sortables(n, pattern)[1])
+                == avoider_set(n, ((2, 3, 1), pattern))
+                for n in range(1, max_n + 1)
+            )
             out.append(
                 CheckResult(
                     "PROP 4.1",
@@ -387,8 +385,8 @@ def _check_123_machine(max_n: int, out: list[CheckResult]) -> None:
     forbidden = (1, 2, 3)
     for n in range(1, max_n + 1):
         formula = count_sortable_123_formula(n)
-        total = sum(c for _, c in profile_items(n, forbidden))
-        direct = len(sortable_set(n, forbidden))
+        total = sum(c for _, c in sortables(n, forbidden)[1])
+        direct = len(sortables(n, forbidden)[0])
         ok = total == formula == direct
         out.append(
             CheckResult(
@@ -410,7 +408,7 @@ def _check_123_fertility_law(max_n: int, out: list[CheckResult]) -> None:
     for n in range(1, cap + 1):
         law_holds = True
         witness = ""
-        for gamma, count in profile_items(n, forbidden):
+        for gamma, count in sortables(n, forbidden)[1]:
             split = gamma_decomposition_123(gamma)
             if split is None:
                 law_holds = False
@@ -462,7 +460,7 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     out: list[CheckResult] = []
     for pattern, row in SORTABLE_COUNTS.items():
         for n in range(1, min(max_n, len(row)) + 1):
-            got = len(sortable_set(n, pattern))
+            got = len(sortables(n, pattern)[0])
             want = row[n - 1]
             out.append(
                 CheckResult(
@@ -477,7 +475,7 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
         if len(pattern) > max_len:
             continue
         for n in range(1, min(max_n, len(row)) + 1):
-            got = len(profile_items(n, pattern))
+            got = len(sortables(n, pattern)[1])
             want = row[n - 1]
             out.append(
                 CheckResult(
@@ -488,7 +486,7 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
                     f"counted {got}, published {want}",
                 )
             )
-    seq21 = [len(profile_items(n, (2, 1))) for n in range(1, min(max_n, 9) + 1)]
+    seq21 = [len(sortables(n, (2, 1))[1]) for n in range(1, min(max_n, 9) + 1)]
     out.append(
         CheckResult(
             "TAB sorted",
@@ -550,11 +548,11 @@ def _check_two_letter_resolution(max_n: int, out: list[CheckResult]) -> None:
     assign: dict[str, set[str]] = {"2 1": set(), "1 2": set()}
     for pattern, key in (((2, 1), "2 1"), ((1, 2), "1 2")):
         matches_catalan = all(
-            len(sortable_set(n, pattern)) == len(avoider_set(n, ((2, 1, 3),)))
+            len(sortables(n, pattern)[0]) == len(avoider_set(n, ((2, 1, 3),)))
             for n in range(1, max_n + 1)
         )
         matches_west = all(
-            len(sortable_set(n, pattern)) == west_two_stack_count(n)
+            len(sortables(n, pattern)[0]) == west_two_stack_count(n)
             for n in range(1, max_n + 1)
         )
         if matches_catalan:
@@ -601,10 +599,12 @@ def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> lis
                 f"counted {got}, reference {want}",
             )
         )
-    for n in range(1, max_n + 1):
-        a = len(sortable_set(n, (3, 1, 2)))
-        b = sum(1 for _ in ascent_sequences_avoiding(n, (2, 0, 1)))
-        c = sum(1 for _ in fishburn_avoiding(n, (3, 4, 1, 2)))
+    dists_by_n = [
+        [joint_distribution(kind, n, minima_convention) for kind in KINDS]
+        for n in range(1, max_n + 1)
+    ]
+    for n, dists in enumerate(dists_by_n, start=1):
+        a, c, b = (dist.total() for dist in dists)
         equal = a == b == c
         pinned = n <= len(EQUINUMEROUS_COUNTS)
         ok = equal and (not pinned or a == EQUINUMEROUS_COUNTS[n - 1])
@@ -618,9 +618,7 @@ def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> lis
                 + (f", published {EQUINUMEROUS_COUNTS[n - 1]}" if pinned else ""),
             )
         )
-    cap = min(max_n, 7)
-    for n in range(1, cap + 1):
-        dists = [joint_distribution(kind, n, minima_convention) for kind in KINDS]
+    for n, dists in enumerate(dists_by_n[:7], start=1):
         mism = first_mismatch(dists[0], dists[1]) or first_mismatch(dists[0], dists[2])
         out.append(
             CheckResult(

@@ -43,8 +43,7 @@ from stacksort.verify import (
     SORTABLE_COUNTS,
     SORTED_COUNTS,
     avoider_set,
-    profile_items,
-    sortable_set,
+    sortables,
     west_two_stack_count,
 )
 
@@ -99,7 +98,7 @@ def test_02_sortable_count_rows_extended(n):
 def test_03_sorted_count_rows():
     ok = True
     for pattern, row in SORTED_COUNTS.items():
-        got = [len(profile_items(n, pattern)) for n in range(1, 9)]
+        got = [len(sortables(n, pattern)[1]) for n in range(1, 9)]
         ok = ok and got == list(row[:8])
     _report("03 sorted-count-rows", ok)
 
@@ -107,7 +106,7 @@ def test_03_sorted_count_rows():
 @pytest.mark.slow
 def test_03_sorted_count_rows_extended():
     ok = all(
-        len(profile_items(9, pattern)) == row[8] for pattern, row in SORTED_COUNTS.items()
+        len(sortables(9, pattern)[1]) == row[8] for pattern, row in SORTED_COUNTS.items()
     )
     _report("03x sorted-count-rows n=9", ok)
 
@@ -129,13 +128,13 @@ def test_05_class_characterization():
             is_class, basis = sort_is_class(pattern)
             if is_class:
                 for n in range(1, 9):
-                    if sortable_set(n, pattern) != avoider_set(n, tuple(basis)):
+                    if sortables(n, pattern)[0] != avoider_set(n, tuple(basis)):
                         ok = False
             else:
                 found = False
                 for n in range(m, 8):
-                    smaller = sortable_set(n - 1, pattern)
-                    for p in sortable_set(n, pattern):
+                    smaller = frozenset(sortables(n - 1, pattern)[0])
+                    for p in sortables(n, pattern)[0]:
                         if any(
                             standardize(p[:i] + p[i + 1 :]) not in smaller
                             for i in range(n)
@@ -157,7 +156,7 @@ def test_06_anchored_avoidance_predicate():
             brute = all(
                 not contains_anchored_132(p)
                 for n in range(1, 9)
-                for p in sortable_set(n, pattern)
+                for p in sortables(n, pattern)[0]
             )
             ok = ok and predicted == brute
             if not predicted:
@@ -174,12 +173,12 @@ def test_07_effectiveness_characterization():
             brute = all(
                 not contains(gamma, pattern)
                 for n in range(1, 9)
-                for gamma, _ in profile_items(n, pattern)
+                for gamma, _ in sortables(n, pattern)[1]
             )
             ok = ok and predicted == brute
             if predicted:
                 for n in range(1, 9):
-                    keys = frozenset(g for g, _ in profile_items(n, pattern))
+                    keys = tuple(g for g, _ in sortables(n, pattern)[1])
                     if keys != avoider_set(n, ((2, 3, 1), pattern)):
                         ok = False
         listed = tuple(p for p in all_perms(m) if is_effective(p))
@@ -195,7 +194,7 @@ def test_08_123_machine_closed_form():
         formula = count_sortable_123_formula(n)
         ok = ok and count_sortable(n, (1, 2, 3)) == formula
         if n <= 8:
-            ok = ok and sum(c for _, c in profile_items(n, (1, 2, 3))) == formula
+            ok = ok and sum(c for _, c in sortables(n, (1, 2, 3))[1]) == formula
     _report("08 123-machine-closed-form", ok)
 
 
@@ -225,7 +224,7 @@ def test_10_3421_sortable_examples():
 def test_11_conjecture_cardinalities_and_distributions():
     ok = True
     for n in range(1, 9):
-        a = len(sortable_set(n, (3, 1, 2)))
+        a = len(sortables(n, (3, 1, 2))[0])
         b = sum(1 for _ in ascent_sequences_avoiding(n, (2, 0, 1)))
         c = sum(1 for _ in fishburn_avoiding(n, (3, 4, 1, 2)))
         ok = ok and a == b == c == EQUINUMEROUS_COUNTS[n - 1]
@@ -241,7 +240,7 @@ def test_11_conjecture_cardinalities_and_distributions():
 def test_12_two_letter_pattern_resolution():
     matches = {}
     for pattern in ((2, 1), (1, 2)):
-        counts = [len(sortable_set(n, pattern)) for n in range(1, 9)]
+        counts = [len(sortables(n, pattern)[0]) for n in range(1, 9)]
         matches[pattern] = (
             counts == [len(avoider_set(n, ((2, 1, 3),))) for n in range(1, 9)],
             counts == [west_two_stack_count(n) for n in range(1, 9)],

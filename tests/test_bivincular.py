@@ -8,7 +8,6 @@ from stacksort.bivincular import (
     FISHBURN_PATTERN,
     BivincularPattern,
     avoids_anchored_132_via_blocks,
-    bivincular_occurrences,
     contains_anchored_132,
     contains_bivincular,
     count_anchored_132_avoiders,
@@ -47,6 +46,12 @@ def test_adjacency_sets_must_be_in_range():
         BivincularPattern((1, 2), frozenset({3}), frozenset())
     with pytest.raises(ValueError):
         BivincularPattern((1, 2), frozenset(), frozenset({-1}))
+
+
+@pytest.mark.parametrize("pattern", [(1, 1), (0, 1), (1, 3), (2, 3, 3)])
+def test_pattern_must_be_a_permutation(pattern):
+    with pytest.raises(ValueError):
+        BivincularPattern(pattern, frozenset(), frozenset())
 
 
 def test_unconstrained_bivincular_equals_classical():
@@ -130,14 +135,20 @@ def test_reverse_bivincular_contract_exhaustive_for_main_patterns():
 @settings(max_examples=300, deadline=None)
 @given(bp_strategy(4), perm_strategy(9))
 def test_bivincular_occurrences_match_brute_force(bp, p):
-    assert list(bivincular_occurrences(p, bp)) == list(
-        brute_occurrences(p, bp.pattern, bp.pos_adj, bp.val_adj)
-    )
+    brute = next(brute_occurrences(p, bp.pattern, bp.pos_adj, bp.val_adj), None)
+    assert contains_bivincular(p, bp) == (brute is not None)
 
 
 def test_bivincular_occurrences_are_valid():
-    occs = list(bivincular_occurrences((1, 4, 3, 2), ANCHORED_132))
-    assert occs == [(1, 2, 3), (1, 3, 4)]
+    for host, occs in (
+        ((1, 4, 3, 2), [(1, 2, 3), (1, 3, 4)]),
+        ((2, 1, 4, 3), [(1, 3, 4)]),
+        ((3, 4, 1, 2), []),
+        ((2, 4, 1, 3), []),
+    ):
+        bp = ANCHORED_132
+        assert list(brute_occurrences(host, bp.pattern, bp.pos_adj, bp.val_adj)) == occs
+        assert contains_bivincular(host, bp) == bool(occs)
 
 
 def test_first_element_decomposition_examples():

@@ -237,6 +237,18 @@ GOLDEN = [
         "97e5c9d4ffe6456d04012f117d7d2d9a7591d828075d3dcd533fffa721fda4c2",
     ),
     (
+        # the length-4 patterns, every witness below WITNESS_N
+        ["verify", "--suite", "theorems", "--max-sigma-len", "4", "--max-n", "6"],
+        0,
+        "4bda580674a818f1f5aa7cd7898944b9e3a7ff4a57a33585ead7f9c84f357731",
+    ),
+    (
+        # a cardinality line above the n <= 7 cap of the equidistribution lines
+        ["verify", "--suite", "conjectures", "--max-n", "8"],
+        0,
+        "16b3df59281b6c7382e2818831d9b3921699e69240f267256bebda771315158b",
+    ),
+    (
         ["count", "sortable", "--sigma", "2134", "--max-n", "7"],
         0,
         "1388df96631f99882a0e8dc449bcdbde3ca941d332651bc11fc65543ce12e396",
@@ -263,7 +275,15 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv, code, digest",
     GOLDEN,
-    ids=["verify-3-7", "count-sortable-2134", "count-sorted-4123", "fertility-123", "trace-1342"],
+    ids=[
+        "verify-3-7",
+        "verify-theorems-4-6",
+        "verify-conjectures-8",
+        "count-sortable-2134",
+        "count-sorted-4123",
+        "fertility-123",
+        "trace-1342",
+    ],
 )
 def test_golden_output(capsys, argv, code, digest):
     got, out, _ = run(capsys, *argv)

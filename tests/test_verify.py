@@ -1,9 +1,12 @@
+from stacksort.enumeration import sortable_permutations, sorted_profile
+from stacksort.perms import all_perms
 from stacksort.verify import (
     WITNESS_N,
     CheckResult,
     _witness_status,
     has_failure,
     render_report,
+    sortables,
     verify_conjectures,
     verify_tables,
     verify_theorems,
@@ -101,3 +104,13 @@ def test_witness_status_rule():
     assert _witness_status(False, True, WITNESS_N) == "FAIL"
     # a witness against the prediction fails at every n
     assert _witness_status(True, False, 1) == "FAIL"
+
+
+def test_sortables_table_matches_both_enumerators():
+    for m in (2, 3, 4):
+        for sigma in all_perms(m):
+            for n in range(1, 7):
+                assert sortables(n, sigma) == (
+                    tuple(sortable_permutations(n, sigma)),
+                    tuple(sorted_profile(n, sigma).entries.items()),
+                )
