@@ -6,7 +6,9 @@ class, whether the first stack is effective (its outputs on sortable inputs
 never contain the forbidden pattern itself), and whether every sortable
 input avoids the anchored-132 pattern.  Each predicate has a closed
 characterization in terms of the pattern alone; the verify module checks all
-of them against exhaustive enumeration.
+of them against exhaustive enumeration.  Every public function checks that
+its pattern is a permutation (ValueError otherwise) and reads one derivation
+of the classification row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivincular import ANCHORED_132_REVERSED, contains_bivincular
-from .perms import Perm, contains, reverse, standardize, swap_first_two
+from .perms import Perm, as_perm, contains, reverse, swap_first_two
 
 PATTERN_231: Perm = (2, 3, 1)
 PATTERN_132: Perm = (1, 3, 2)
@@ -47,6 +49,38 @@ class ClassificationRow:
     label: str
 
 
+def _checked(pattern: Perm, least: int, what: str) -> Perm:
+    pattern = as_perm(pattern)
+    if len(pattern) < least:
+        raise ValueError(f"{what} requires pattern length >= {least}")
+    return pattern
+
+
+def _row(pattern: Perm) -> ClassificationRow:
+    """The row of a permutation of length >= 2, from three containments: 231
+    in the swapped pattern, the mirrored anchored 132 only when the swapped
+    pattern avoids 231, and 231 in the pattern only when the label needs it."""
+    swapped = swap_first_two(pattern)
+    swap231 = contains(swapped, PATTERN_231)
+    # A leading 1 lies in no 231, so a non-effective swapped pattern is 1
+    # followed by a 231-avoiding remainder.
+    effective = swap231 or swapped[0] != 1
+    mirror = not swap231 and contains_bivincular(pattern, ANCHORED_132_REVERSED)
+    basis = None
+    if not effective:
+        label = LABEL_NOT_EFFECTIVE
+    elif swap231:
+        if contains(pattern, PATTERN_231):
+            basis, label = (PATTERN_132,), LABEL_SWAP_231_AND_231
+        else:
+            basis, label = (PATTERN_132, reverse(pattern)), LABEL_SWAP_231_NOT_231
+    elif not contains(pattern, PATTERN_231):
+        label = LABEL_PLAIN_AVOIDS_231
+    else:
+        label = LABEL_CONTAINS_MIRROR if mirror else LABEL_CONTAINS_231_NOT_MIRROR
+    return ClassificationRow(pattern, swap231, basis, effective, not mirror, label)
+
+
 def sort_is_class(pattern: Perm) -> tuple[bool, tuple[Perm, ...] | None]:
     """Do the sortable inputs form a pattern-avoidance class, and if so with
     which basis?
@@ -55,13 +89,8 @@ def sort_is_class(pattern: Perm) -> tuple[bool, tuple[Perm, ...] | None]:
     entries swapped contains 231; the basis is {132} when the pattern itself
     contains 231 and {132, reverse(pattern)} otherwise.
     """
-    if len(pattern) < 3:
-        raise ValueError("classification requires pattern length >= 3")
-    if not contains(swap_first_two(pattern), PATTERN_231):
-        return False, None
-    if contains(pattern, PATTERN_231):
-        return True, (PATTERN_132,)
-    return True, (PATTERN_132, reverse(pattern))
+    row = _row(_checked(pattern, 3, "classification"))
+    return row.is_class, row.class_basis
 
 
 def is_effective(pattern: Perm) -> bool:
@@ -71,12 +100,7 @@ def is_effective(pattern: Perm) -> bool:
     Fails exactly when swapping the first two entries yields 1 followed by a
     231-avoiding remainder.
     """
-    if len(pattern) < 2:
-        raise ValueError("effectiveness requires pattern length >= 2")
-    swapped = swap_first_two(pattern)
-    if swapped[0] != 1:
-        return True
-    return contains(standardize(swapped[1:]), PATTERN_231)
+    return _row(_checked(pattern, 2, "effectiveness")).is_effective
 
 
 def sortables_avoid_anchored_132(pattern: Perm) -> bool:
@@ -87,17 +111,12 @@ def sortables_avoid_anchored_132(pattern: Perm) -> bool:
     the swapped pattern avoids 231 and the pattern contains the mirror of
     the anchored-132 pattern.
     """
-    if len(pattern) < 3:
-        raise ValueError("this predicate requires pattern length >= 3")
-    if contains(swap_first_two(pattern), PATTERN_231):
-        return True
-    return not contains_bivincular(pattern, ANCHORED_132_REVERSED)
+    return _row(_checked(pattern, 3, "this predicate")).sortables_avoid_anchored_132
 
 
 def skew_12_decomposition(pattern: Perm) -> Perm | None:
     """The tail beta such that pattern = skew_sum((1, 2), beta), if any."""
-    if len(pattern) < 3:
-        raise ValueError("decomposition requires pattern length >= 3")
+    pattern = _checked(pattern, 3, "decomposition")
     n = len(pattern)
     if pattern[0] == n - 1 and pattern[1] == n:
         return pattern[2:]
@@ -105,29 +124,8 @@ def skew_12_decomposition(pattern: Perm) -> Perm | None:
 
 
 def hypothesis_label(pattern: Perm) -> str:
-    swapped = swap_first_two(pattern)
-    if contains(swapped, PATTERN_231):
-        if contains(pattern, PATTERN_231):
-            return LABEL_SWAP_231_AND_231
-        return LABEL_SWAP_231_NOT_231
-    if swapped[0] == 1:
-        return LABEL_NOT_EFFECTIVE
-    if not contains(pattern, PATTERN_231):
-        return LABEL_PLAIN_AVOIDS_231
-    if contains_bivincular(pattern, ANCHORED_132_REVERSED):
-        return LABEL_CONTAINS_MIRROR
-    return LABEL_CONTAINS_231_NOT_MIRROR
+    return _row(as_perm(pattern)).label
 
 
 def classification_row(pattern: Perm) -> ClassificationRow:
-    if len(pattern) < 3:
-        raise ValueError("classification requires pattern length >= 3")
-    is_class, basis = sort_is_class(pattern)
-    return ClassificationRow(
-        pattern=pattern,
-        is_class=is_class,
-        class_basis=basis,
-        is_effective=is_effective(pattern),
-        sortables_avoid_anchored_132=sortables_avoid_anchored_132(pattern),
-        label=hypothesis_label(pattern),
-    )
+    return _row(_checked(pattern, 3, "classification"))

@@ -2,9 +2,10 @@
 
 Subcommands: trace, count, classify, verify, fertility, explore.  Exit codes
 are stable: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse error.  Enumerative commands refuse max-n beyond 11 unless --force is
-given.  --threads never changes any output, only how the enumeration work is
-partitioned.
+parse error.  `count sortable|sorted` and `count anchored132 --method brute`
+refuse --max-n beyond 11 unless --force is given; verify, explore and
+fertility --n have no such guard.  --threads never changes any output, only
+how the enumeration work is partitioned.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .classify import classification_row
 from .conjectures import equidistribution_report
 from .enumeration import count_sortable, count_sorted, fertility, sorted_profile
 from .machine import check_forbidden, stack_pass_traced, trace_json
-from .perms import Perm, format_perm, parse_perm
+from .perms import Perm, all_perms, format_perm, parse_perm
 from .verify import (
     has_failure,
     render_report,
@@ -53,8 +54,6 @@ def _emit_sequence(counts: list[int], fmt: str) -> None:
             print(f"{n} {c}")
     elif fmt == "json":
         print(json.dumps([{"n": n, "count": c} for n, c in enumerate(counts, start=1)]))
-    else:
-        raise UsageError(f"unsupported format {fmt!r}")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -73,8 +72,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    if args.format != "plain":
-        raise UsageError("trace supports plain or json output")
     stack: list[int] = []
     done: list[int] = []
     print(f"{'step':<6}{'event':<10}{'stack (top..bottom)':<22}output")
@@ -111,15 +108,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
         _check_guard(args)
         fn = count_sortable if args.what == "sortable" else count_sorted
         counts = [fn(n, forbidden, workers=args.threads) for n in range(1, args.max_n + 1)]
-    elif args.what == "anchored132":
-        method = args.method or "formula"
-        if method == "brute":
-            _check_guard(args)
-            counts = [count_anchored_132_avoiders_brute(n) for n in range(1, args.max_n + 1)]
-        else:
-            counts = [count_anchored_132_avoiders(n) for n in range(1, args.max_n + 1)]
+    elif args.method == "brute":  # anchored132 from here on
+        _check_guard(args)
+        counts = [count_anchored_132_avoiders_brute(n) for n in range(1, args.max_n + 1)]
     else:
-        raise UsageError(f"unknown count target {args.what!r}")
+        counts = [count_anchored_132_avoiders(n) for n in range(1, args.max_n + 1)]
     _emit_sequence(counts, args.format)
     return 0
 
@@ -133,8 +126,6 @@ def _flag(value: bool, glyphs: bool) -> str:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if not 3 <= args.length <= 6:
         raise UsageError("classify supports lengths 3 to 6")
-    from .perms import all_perms
-
     rows = [classification_row(p) for p in all_perms(args.length)]
     if args.format == "json":
         print(
@@ -163,8 +154,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 f"{r.sortables_avoid_anchored_132},{r.label},{basis}"
             )
         return 0
-    if args.format != "plain":
-        raise UsageError("classify supports plain, csv or json output")
     glyphs = sys.stdout.isatty()
     width = max(2 * args.length - 1, len("pattern")) + 2
     print(f"{'pattern':<{width}}{'class':<7}{'effective':<11}{'avoid-a132':<12}row")

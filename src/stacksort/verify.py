@@ -3,9 +3,10 @@ formulas and reference sequences, at desk scale.
 
 Every check pits a predicate or closed form against exhaustive enumeration
 and reports one line per instance: "<id> | <pattern> | <n> | PASS/FAIL".
-Each machine (pattern, n) is walked once: `sortables` keeps its sortable
-inputs and the profile of their first-pass outputs in one table, which every
-check on that machine reads.
+Each machine (pattern, n) is walked once per run: `sortables` keeps its
+sortable inputs and the profile of their first-pass outputs in one table,
+which every check on that machine reads, and `verify_theorems` drops the
+tables of earlier runs on entry.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = WITNESS_N, are reported as INFO.
@@ -177,10 +178,6 @@ def _witness_status(found: bool, predicted: bool, max_n: int) -> str:
     return "FAIL" if found or max_n >= WITNESS_N else "INFO"
 
 
-def _patterns_of_length(m: int) -> list[Perm]:
-    return list(all_perms(m))
-
-
 def _fmt(p: Perm) -> str:
     return format_perm(p) if p else "-"
 
@@ -192,7 +189,7 @@ def _fmt(p: Perm) -> str:
 def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResult]) -> None:
     witness_cap = min(max_n, WITNESS_N)
     for m in range(3, max_len + 1):
-        for pattern in _patterns_of_length(m):
+        for pattern in all_perms(m):
             is_class, basis = sort_is_class(pattern)
             if is_class:
                 for n in range(1, max_n + 1):
@@ -253,7 +250,7 @@ def _check_avoider_count_formula(max_n: int, out: list[CheckResult]) -> None:
 
 def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[CheckResult]) -> None:
     for m in range(3, max_len + 1):
-        for pattern in _patterns_of_length(m):
+        for pattern in all_perms(m):
             predicted = sortables_avoid_anchored_132(pattern)
             found = _first_witness(
                 range(1, max_n + 1),
@@ -268,45 +265,43 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
             out.append(CheckResult("THM 3.4", _fmt(pattern), max_n, status, detail))
 
 
-def _check_avoider_identity_start(max_n: int, out: list[CheckResult]) -> None:
+def _check_anchored_132_avoiders(max_n: int, out: list[CheckResult]) -> None:
+    """COR 3.2 and LEM 3.1 from one scan of the permutations of each length."""
+    claims = (
+        ("COR 3.2", "avoiders starting with 1 are the identity"),
+        ("LEM 3.1", "blocks all increasing <=> anchored 132 avoided"),
+    )
     for n in range(1, max_n + 1):
-        bad = [
-            p
-            for p in all_perms(n)
-            if p[0] == 1 and not contains_anchored_132(p) and p != identity(n)
-        ]
-        out.append(
-            CheckResult(
-                "COR 3.2",
-                "-",
-                n,
-                "PASS" if not bad else "FAIL",
-                "avoiders starting with 1 are the identity",
+        broken = set()
+        for p in all_perms(n):
+            avoids = not contains_anchored_132(p)
+            if avoids and p[0] == 1 and p != identity(n):
+                broken.add("COR 3.2")
+            if avoids_anchored_132_via_blocks(p) != avoids:
+                broken.add("LEM 3.1")
+        for check_id, claim in claims:
+            out.append(
+                CheckResult(check_id, "-", n, "FAIL" if check_id in broken else "PASS", claim)
             )
-        )
 
 
 def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> None:
+    """COR 4.5 for every pattern, and PROP 4.1 for the effective ones."""
     for m in range(2, max_len + 1):
-        for pattern in _patterns_of_length(m):
-            predicted = is_effective(pattern)
+        for pattern in all_perms(m):
+            effective = is_effective(pattern)
             found = _first_witness(
                 range(1, max_n + 1),
                 lambda n: (g for g, _ in sortables(n, pattern)[1] if contains(g, pattern)),
             )
-            status = _witness_status(found is not None, not predicted, max_n)
+            status = _witness_status(found is not None, not effective, max_n)
             detail = (
                 "no sorted output contains the pattern"
                 if found is None
                 else f"sorted output {_fmt(found[1])} contains the pattern"
             )
             out.append(CheckResult("COR 4.5", _fmt(pattern), max_n, status, detail))
-
-
-def _check_effective_sorted_sets(max_len: int, max_n: int, out: list[CheckResult]) -> None:
-    for m in range(2, max_len + 1):
-        for pattern in _patterns_of_length(m):
-            if not is_effective(pattern):
+            if not effective:
                 continue
             ok = all(
                 tuple(g for g, _ in sortables(n, pattern)[1])
@@ -326,59 +321,35 @@ def _check_effective_sorted_sets(max_len: int, max_n: int, out: list[CheckResult
 
 def _check_pass_reversal_lemma(max_len: int, max_n: int, out: list[CheckResult]) -> None:
     cap = min(max_n, 7)
+    claims = (
+        ("rev", "inputs avoiding the reversed pattern come out reversed"),
+        ("swap", "other outputs contain the pattern with first entries swapped"),
+    )
     for m in range(3, max_len + 1):
-        for pattern in _patterns_of_length(m):
+        for pattern in all_perms(m):
             rev = reverse(pattern)
             swapped = swap_first_two(pattern)
-            rev_bad = swap_bad = None
+            bad: dict[str, Perm] = {}  # the first counterexample to each half
             for n in range(1, cap + 1):
                 for p, output in machine_outputs(n, pattern):
                     if contains(p, rev):
-                        if swap_bad is None and not contains(output, swapped):
-                            swap_bad = p
-                    elif rev_bad is None and output != reverse(p):
-                        rev_bad = p
-                if rev_bad is not None and swap_bad is not None:
+                        if "swap" not in bad and not contains(output, swapped):
+                            bad["swap"] = p
+                    elif "rev" not in bad and output != reverse(p):
+                        bad["rev"] = p
+                if len(bad) == len(claims):
                     break
-            out.append(
-                CheckResult(
-                    "LEM 2.1-rev",
-                    _fmt(pattern),
-                    cap,
-                    "PASS" if rev_bad is None else "FAIL",
-                    "inputs avoiding the reversed pattern come out reversed"
-                    if rev_bad is None
-                    else f"counterexample {_fmt(rev_bad)}",
+            for half, claim in claims:
+                p = bad.get(half)
+                out.append(
+                    CheckResult(
+                        f"LEM 2.1-{half}",
+                        _fmt(pattern),
+                        cap,
+                        "PASS" if p is None else "FAIL",
+                        claim if p is None else f"counterexample {_fmt(p)}",
+                    )
                 )
-            )
-            out.append(
-                CheckResult(
-                    "LEM 2.1-swap",
-                    _fmt(pattern),
-                    cap,
-                    "PASS" if swap_bad is None else "FAIL",
-                    "other outputs contain the pattern with first entries swapped"
-                    if swap_bad is None
-                    else f"counterexample {_fmt(swap_bad)}",
-                )
-            )
-
-
-def _check_block_criterion(max_n: int, out: list[CheckResult]) -> None:
-    for n in range(1, max_n + 1):
-        ok = all(
-            avoids_anchored_132_via_blocks(p) == (not contains_anchored_132(p))
-            for p in all_perms(n)
-        )
-        out.append(
-            CheckResult(
-                "LEM 3.1",
-                "-",
-                n,
-                "PASS" if ok else "FAIL",
-                "blocks all increasing <=> anchored 132 avoided",
-            )
-        )
 
 
 def _check_123_machine(max_n: int, out: list[CheckResult]) -> None:
@@ -399,27 +370,26 @@ def _check_123_machine(max_n: int, out: list[CheckResult]) -> None:
         )
 
 
+def _fertility_law_break(profile: tuple[tuple[Perm, int], ...]) -> str | None:
+    """The first output of the 123-machine's profile that breaks the observed
+    per-output law, or None: an output splitting as (i, j, k) has fertility
+    catalan(j) when k >= 1 and fertility 1 when k = 0."""
+    for gamma, count in profile:
+        split = gamma_decomposition_123(gamma)
+        if split is None:
+            return f"output {_fmt(gamma)} does not decompose"
+        _, j, k = split
+        expected = 1 if k == 0 else catalan(j)
+        if count != expected:
+            return f"output {_fmt(gamma)} has fertility {count}, law gives {expected}"
+    return None
+
+
 def _check_123_fertility_law(max_n: int, out: list[CheckResult]) -> None:
-    # Observed per-output law: an output splitting as (i, j, k) has fertility
-    # catalan(j) when k >= 1 and fertility 1 when k = 0.  Reported as a
-    # finding; the grouped sum over outputs gives the closed form.
+    # Reported as a finding; the grouped sum over outputs gives the closed form.
     forbidden = (1, 2, 3)
-    cap = min(max_n, 7)
-    for n in range(1, cap + 1):
-        law_holds = True
-        witness = ""
-        for gamma, count in sortables(n, forbidden)[1]:
-            split = gamma_decomposition_123(gamma)
-            if split is None:
-                law_holds = False
-                witness = f"output {_fmt(gamma)} does not decompose"
-                break
-            i, j, k = split
-            expected = 1 if k == 0 else catalan(j)
-            if count != expected:
-                law_holds = False
-                witness = f"output {_fmt(gamma)} has fertility {count}, law gives {expected}"
-                break
+    for n in range(1, min(max_n, 7) + 1):
+        broken = _fertility_law_break(sortables(n, forbidden)[1])
         out.append(
             CheckResult(
                 "OQ 123-fertility-law",
@@ -427,7 +397,7 @@ def _check_123_fertility_law(max_n: int, out: list[CheckResult]) -> None:
                 n,
                 "FINDING",
                 "per-output fertility = catalan(j) if k >= 1 else 1: "
-                + ("holds" if law_holds else f"fails: {witness}"),
+                + ("holds" if broken is None else f"fails: {broken}"),
             )
         )
 
@@ -435,16 +405,19 @@ def _check_123_fertility_law(max_n: int, out: list[CheckResult]) -> None:
 def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     """Run every predicate/enumeration cross-check; see module docstring.
 
-    Report lines come out sorted by check id, then pattern, then n."""
+    Report lines come out sorted by check id, then pattern, then n.  The
+    tables of earlier runs are dropped on entry, so a process holds one run's
+    tables at most; verify_tables, called after it, reads the tables it
+    built."""
+    sortables.cache_clear()
+    avoider_set.cache_clear()
     out: list[CheckResult] = []
     _check_class_characterization(max_len, max_n, out)
     _check_avoider_count_formula(max_n, out)
     _check_anchored_avoidance_of_sortables(max_len, max_n, out)
-    _check_avoider_identity_start(min(max_n, 8), out)
+    _check_anchored_132_avoiders(min(max_n, 8), out)
     _check_effectiveness(max_len, max_n, out)
-    _check_effective_sorted_sets(max_len, max_n, out)
     _check_pass_reversal_lemma(max_len, max_n, out)
-    _check_block_criterion(min(max_n, 8), out)
     _check_123_machine(max_n, out)
     _check_123_fertility_law(max_n, out)
     _check_two_letter_resolution(max_n, out)
@@ -523,7 +496,7 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     if max_len >= 4:
         grouped: dict[str, list[Perm]] = {label: [] for label in ALL_LABELS}
         for m in (3, 4):
-            for pattern in _patterns_of_length(m):
+            for pattern in all_perms(m):
                 grouped[classification_row(pattern).label].append(pattern)
         for label, want in zip(ALL_LABELS, CLASSIFICATION_GROUPS):
             got = tuple(sorted(grouped[label], key=lambda p: (len(p), p)))
@@ -545,38 +518,28 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
 
 
 def _check_two_letter_resolution(max_n: int, out: list[CheckResult]) -> None:
-    assign: dict[str, set[str]] = {"2 1": set(), "1 2": set()}
-    for pattern, key in (((2, 1), "2 1"), ((1, 2), "1 2")):
-        matches_catalan = all(
-            len(sortables(n, pattern)[0]) == len(avoider_set(n, ((2, 1, 3),)))
-            for n in range(1, max_n + 1)
-        )
-        matches_west = all(
-            len(sortables(n, pattern)[0]) == west_two_stack_count(n)
-            for n in range(1, max_n + 1)
-        )
-        if matches_catalan:
-            assign[key].add("avoiders-of-213 (catalan)")
-        if matches_west:
-            assign[key].add("west-two-stack (A000139)")
-    consistent = (
-        assign["2 1"] == {"west-two-stack (A000139)"}
-        and assign["1 2"] == {"avoiders-of-213 (catalan)"}
-    ) or (
-        assign["1 2"] == {"west-two-stack (A000139)"}
-        and assign["2 1"] == {"avoiders-of-213 (catalan)"}
+    # In name order, so each list of matches below comes out sorted.
+    references = (
+        ("avoiders-of-213 (catalan)", lambda n: len(avoider_set(n, ((2, 1, 3),)))),
+        ("west-two-stack (A000139)", west_two_stack_count),
     )
-    detail = (
-        f"21 matches {sorted(assign['2 1']) or ['nothing']}, "
-        f"12 matches {sorted(assign['1 2']) or ['nothing']}"
+    m21, m12 = (
+        [
+            name
+            for name, count in references
+            if all(len(sortables(n, pattern)[0]) == count(n) for n in range(1, max_n + 1))
+        ]
+        for pattern in ((2, 1), (1, 2))
     )
+    # Consistent when the two patterns match one reference each, not the same one.
+    consistent = sorted([m21, m12]) == [[name] for name, _ in references]
     out.append(
         CheckResult(
             "AMB two-letter",
             "-",
             max_n,
             "PASS" if consistent else "FAIL",
-            detail,
+            f"21 matches {m21 or ['nothing']}, 12 matches {m12 or ['nothing']}",
         )
     )
 

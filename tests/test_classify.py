@@ -156,3 +156,20 @@ def test_basis_is_present_exactly_for_classes():
         for pattern in all_perms(m):
             is_class, basis = sort_is_class(pattern)
             assert (basis is not None) == is_class
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        classification_row,
+        sort_is_class,
+        is_effective,
+        sortables_avoid_anchored_132,
+        hypothesis_label,
+        skew_12_decomposition,
+    ],
+)
+@pytest.mark.parametrize("pattern", [(1, 1, 2), (0, 5, 9), (2, 4, 1, 3, 3)])
+def test_pattern_must_be_a_permutation(fn, pattern):
+    with pytest.raises(ValueError):
+        fn(pattern)

@@ -269,6 +269,23 @@ GOLDEN = [
         0,
         "9d4fa22af50ef3cdf82e4f08532dd10a7217b5ea1b77e42eaa1d5eaf4bcf0dc8",
     ),
+    (
+        ["classify", "5", "--format", "csv"],
+        0,
+        "a5a957fb36dd1647f8adbe74678176f93b7ea3ed18997d3417088382834584e1",
+    ),
+    (
+        ["classify", "6", "--format", "csv"],
+        0,
+        "88340c4924bbb844295a956f26a271180a03341aefa145009ccb1649fd83f7f0",
+    ),
+    pytest.param(
+        # the default report: 391 pass, 0 fail, 14 findings
+        ["verify", "--max-sigma-len", "4", "--max-n", "8"],
+        0,
+        "b05614a04304e32739c8d5349324df355fe693950b86ef65f6af7631c39eabdb",
+        marks=pytest.mark.slow,
+    ),
 ]
 
 
@@ -283,6 +300,9 @@ GOLDEN = [
         "count-sorted-4123",
         "fertility-123",
         "trace-1342",
+        "classify-5-csv",
+        "classify-6-csv",
+        "verify-4-8",
     ],
 )
 def test_golden_output(capsys, argv, code, digest):

@@ -4,6 +4,7 @@ from stacksort.verify import (
     WITNESS_N,
     CheckResult,
     _witness_status,
+    avoider_set,
     has_failure,
     render_report,
     sortables,
@@ -114,3 +115,13 @@ def test_sortables_table_matches_both_enumerators():
                     tuple(sortable_permutations(n, sigma)),
                     tuple(sorted_profile(n, sigma).entries.items()),
                 )
+
+
+def test_theorem_suite_holds_one_runs_tables():
+    sortables.cache_clear()
+    avoider_set.cache_clear()
+    verify_theorems(3, 4)
+    lone = (sortables.cache_info().currsize, avoider_set.cache_info().currsize)
+    verify_theorems(4, 6)
+    verify_theorems(3, 4)
+    assert (sortables.cache_info().currsize, avoider_set.cache_info().currsize) == lone
