@@ -20,14 +20,12 @@ from .bivincular import (
     count_anchored_132_avoiders,
     count_anchored_132_avoiders_brute,
     first_element_decomposition,
-    parse_bivincular,
     reverse_bivincular,
 )
 from .classify import (
     ClassificationRow,
     classification_row,
     is_effective,
-    skew_12_decomposition,
     sort_is_class,
     sortables_avoid_anchored_132,
 )
@@ -48,7 +46,6 @@ from .machine import (
     TraceEvent,
     is_sortable,
     machine_output,
-    replay_trace,
     stack_pass,
     stack_pass_traced,
 )
@@ -58,13 +55,11 @@ from .perms import (
     as_perm,
     avoiders,
     contains,
-    direct_sum,
     format_perm,
     identity,
     occurrences,
     parse_perm,
     reverse,
-    skew_sum,
     standardize,
     swap_first_two,
 )

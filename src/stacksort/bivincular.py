@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perms import Perm, all_perms, as_perm, format_perm, match, parse_perm, reverse
+from .perms import Perm, all_perms, as_perm, match, reverse
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class BivincularPattern:
         for name, adj in (("pos_adj", self.pos_adj), ("val_adj", self.val_adj)):
             if not all(0 <= x <= k for x in adj):
                 raise ValueError(f"{name} must be a subset of 0..{k}: {sorted(adj)}")
-
-    def __str__(self) -> str:
-        return format_bivincular(self)
 
 
 ANCHORED_132 = BivincularPattern((1, 3, 2), frozenset({0, 2}), frozenset())
@@ -182,35 +179,3 @@ def count_anchored_132_avoiders_brute(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return sum(1 for p in all_perms(n) if not contains_anchored_132(p))
-
-
-def parse_bivincular(text: str) -> BivincularPattern:
-    """Parse the "pattern|X|Y" form, e.g. "132|0,2|"."""
-    parts = text.split("|")
-    if len(parts) != 3:
-        raise ValueError(f"expected three '|'-separated fields: {text!r}")
-    pattern = parse_perm(parts[0])
-
-    def parse_adj(field: str, name: str) -> frozenset[int]:
-        field = field.strip()
-        if not field:
-            return frozenset()
-        try:
-            values = [int(tok) for tok in field.split(",")]
-        except ValueError:
-            raise ValueError(f"invalid {name} field: {field!r}") from None
-        if any(v < 0 for v in values):
-            raise ValueError(f"invalid {name} field: {field!r}")
-        return frozenset(values)
-
-    return BivincularPattern(pattern, parse_adj(parts[1], "X"), parse_adj(parts[2], "Y"))
-
-
-def format_bivincular(bp: BivincularPattern) -> str:
-    return "|".join(
-        (
-            format_perm(bp.pattern),
-            ",".join(str(x) for x in sorted(bp.pos_adj)),
-            ",".join(str(y) for y in sorted(bp.val_adj)),
-        )
-    )

@@ -114,18 +114,5 @@ def sortables_avoid_anchored_132(pattern: Perm) -> bool:
     return _row(_checked(pattern, 3, "this predicate")).sortables_avoid_anchored_132
 
 
-def skew_12_decomposition(pattern: Perm) -> Perm | None:
-    """The tail beta such that pattern = skew_sum((1, 2), beta), if any."""
-    pattern = _checked(pattern, 3, "decomposition")
-    n = len(pattern)
-    if pattern[0] == n - 1 and pattern[1] == n:
-        return pattern[2:]
-    return None
-
-
-def hypothesis_label(pattern: Perm) -> str:
-    return _row(as_perm(pattern)).label
-
-
 def classification_row(pattern: Perm) -> ClassificationRow:
     return _row(_checked(pattern, 3, "classification"))

@@ -20,14 +20,7 @@ from .conjectures import equidistribution_report
 from .enumeration import count_sortable, count_sorted, fertility, sorted_profile
 from .machine import check_forbidden, stack_pass_traced, trace_json
 from .perms import Perm, all_perms, format_perm, parse_perm
-from .verify import (
-    has_failure,
-    render_report,
-    verify_all,
-    verify_conjectures,
-    verify_tables,
-    verify_theorems,
-)
+from .verify import verify_all, verify_conjectures, verify_tables, verify_theorems
 
 ENUMERATION_GUARD = 11
 
@@ -177,13 +170,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results = verify_conjectures(args.max_n, args.minima_convention)
     else:
         results = verify_all(args.max_sigma_len, args.max_n)
-    for line in render_report(results):
-        print(line)
+    for r in results:
+        print(r.line())
     failures = sum(1 for r in results if r.status == "FAIL")
     passes = sum(1 for r in results if r.status == "PASS")
     findings = sum(1 for r in results if r.status == "FINDING")
     print(f"summary: {passes} pass, {failures} fail, {findings} findings")
-    return 1 if has_failure(results) else 0
+    return 1 if failures else 0
 
 
 def _cmd_fertility(args: argparse.Namespace) -> int:

@@ -49,10 +49,6 @@ def stat(p: Perm, which: str) -> int:
     return count
 
 
-def ascent_count(word: Sequence[int]) -> int:
-    return sum(1 for i in range(len(word) - 1) if word[i] < word[i + 1])
-
-
 def ascent_sequences(n: int) -> Iterator[Word]:
     """All ascent sequences of length n: first letter 0, each next letter at
     most one more than the number of ascents so far."""

@@ -162,30 +162,5 @@ def is_sortable(forbidden: Perm, perm: Perm) -> bool:
     return _pass(check_forbidden(forbidden), as_perm(perm), watch=True) is not None
 
 
-def replay_trace(perm: Perm, trace: MachineTrace) -> Perm:
-    """Re-execute a trace from an empty stack, returning the output.
-
-    Raises ValueError if the events are inconsistent with the input order or
-    stack discipline; used to validate traces independently of the simulator.
-    """
-    stack: list[int] = []
-    out: list[int] = []
-    pending = list(perm)
-    for ev in trace:
-        if ev.op == "push":
-            if not pending or pending[0] != ev.value:
-                raise ValueError(f"push {ev.value} does not match next input")
-            stack.append(pending.pop(0))
-        elif ev.op == "pop":
-            if not stack or stack[-1] != ev.value:
-                raise ValueError(f"pop {ev.value} does not match stack top")
-            out.append(stack.pop())
-        else:
-            raise ValueError(f"unknown event {ev.op!r}")
-    if pending or stack:
-        raise ValueError("trace did not consume the whole input")
-    return tuple(out)
-
-
 def trace_json(trace: MachineTrace) -> list[dict]:
     return [{"op": ev.op, "value": ev.value} for ev in trace]

@@ -2,7 +2,7 @@
 
 A permutation of length n is represented as a tuple of the integers 1..n,
 e.g. (2, 4, 1, 3).  The empty tuple is the (valid) empty permutation; it is
-the identity element for both sums and is contained in everything.
+contained in everything.
 
 Text form: entries separated by whitespace or commas ("2 4 1 3"), or a
 compact digit string ("2413") accepted on input only when n <= 9.  Output
@@ -29,16 +29,10 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 Perm = tuple[int, ...]
 
 
-def is_perm(values: Sequence[int]) -> bool:
-    """True iff values is a bijection onto {1..n}."""
-    n = len(values)
-    return sorted(values) == list(range(1, n + 1))
-
-
 def as_perm(values: Iterable[int]) -> Perm:
     """Validate and normalize to a tuple; raises ValueError if not a permutation."""
     p = tuple(values)
-    if not is_perm(p):
+    if set(p) != set(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
     return p
 
@@ -95,18 +89,6 @@ def standardize(word: Sequence[int]) -> Perm:
 
 def reverse(p: Perm) -> Perm:
     return p[::-1]
-
-
-def direct_sum(a: Perm, b: Perm) -> Perm:
-    """Concatenate a with b shifted up by len(a)."""
-    n = len(a)
-    return a + tuple(v + n for v in b)
-
-
-def skew_sum(a: Perm, b: Perm) -> Perm:
-    """a shifted up by len(b), followed by b."""
-    m = len(b)
-    return tuple(v + m for v in a) + b
 
 
 def swap_first_two(p: Perm) -> Perm:

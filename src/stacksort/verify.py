@@ -119,21 +119,13 @@ def west_two_stack_count(n: int) -> int:
 class CheckResult:
     check_id: str
     subject: str  # formatted pattern or "-"
-    n: int | str
+    n: int
     status: str  # PASS | FAIL | FINDING | INFO
     detail: str = ""
 
     def line(self) -> str:
         base = f"{self.check_id} | {self.subject} | {self.n} | {self.status}"
         return f"{base} ({self.detail})" if self.detail else base
-
-
-def render_report(results: list[CheckResult]) -> list[str]:
-    return [r.line() for r in results]
-
-
-def has_failure(results: list[CheckResult]) -> bool:
-    return any(r.status == "FAIL" for r in results)
 
 
 @lru_cache(maxsize=None)
@@ -421,7 +413,7 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     _check_123_machine(max_n, out)
     _check_123_fertility_law(max_n, out)
     _check_two_letter_resolution(max_n, out)
-    out.sort(key=lambda r: (r.check_id, r.subject, r.n if isinstance(r.n, int) else 0))
+    out.sort(key=lambda r: (r.check_id, r.subject, r.n))
     return out
 
 

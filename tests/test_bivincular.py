@@ -13,8 +13,6 @@ from stacksort.bivincular import (
     count_anchored_132_avoiders,
     count_anchored_132_avoiders_brute,
     first_element_decomposition,
-    format_bivincular,
-    parse_bivincular,
     reverse_bivincular,
 )
 from stacksort.perms import all_perms, contains, identity, reverse
@@ -212,17 +210,3 @@ def test_avoider_count_formula_values():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_avoider_count_matches_brute_force(n):
     assert count_anchored_132_avoiders(n) == count_anchored_132_avoiders_brute(n)
-
-
-def test_parse_and_format_bivincular():
-    bp = parse_bivincular("132|0,2|")
-    assert bp == ANCHORED_132
-    assert parse_bivincular("1 3 2|0,2|") == ANCHORED_132
-    assert format_bivincular(ANCHORED_132) == "1 3 2|0,2|"
-    assert parse_bivincular(format_bivincular(FISHBURN_PATTERN)) == FISHBURN_PATTERN
-    with pytest.raises(ValueError):
-        parse_bivincular("132|0,2")
-    with pytest.raises(ValueError):
-        parse_bivincular("132|a|")
-    with pytest.raises(ValueError):
-        parse_bivincular("132||9")

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from oracles import naive_stack_pass_traced
+from stacksort import cli
 from stacksort.cli import main
-from stacksort.machine import replay_trace, stack_pass_traced
 from stacksort.perms import parse_perm
+from stacksort.verify import CheckResult
 
 
 def run(capsys, *argv):
@@ -34,10 +36,9 @@ def test_trace_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["output"] == "1 4 3 2"
-    perm = parse_perm(payload["input"])
-    expected_out, trace = stack_pass_traced(parse_perm(payload["forbidden"]), perm)
-    assert [{"op": e.op, "value": e.value} for e in trace] == payload["events"]
-    assert parse_perm(payload["output"]) == expected_out == replay_trace(perm, trace)
+    forbidden, perm = parse_perm(payload["forbidden"]), parse_perm(payload["input"])
+    events = [(e["op"], e["value"]) for e in payload["events"]]
+    assert (parse_perm(payload["output"]), events) == naive_stack_pass_traced(forbidden, perm)
 
 
 def test_trace_parse_error_exits_2(capsys):
@@ -220,6 +221,19 @@ def test_plain_and_csv_agree_on_numbers(capsys):
     plain_numbers = plain.split()
     csv_numbers = [line.split(",")[1] for line in csv_out.strip().splitlines()]
     assert plain_numbers == csv_numbers
+
+
+def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch):
+    results = [CheckResult("X", "-", 1, status) for status in ("PASS", "FINDING", "FAIL")]
+    monkeypatch.setattr(cli, "verify_conjectures", lambda *args: results)
+    code, out, _ = run(capsys, "verify", "--suite", "conjectures")
+    assert code == 1
+    assert out.splitlines() == [
+        "X | - | 1 | PASS",
+        "X | - | 1 | FINDING",
+        "X | - | 1 | FAIL",
+        "summary: 1 pass, 1 fail, 1 findings",
+    ]
 
 
 def test_bad_usage_exits_2():

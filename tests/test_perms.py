@@ -9,14 +9,12 @@ from stacksort.perms import (
     as_perm,
     avoiders,
     contains,
-    direct_sum,
     format_perm,
     identity,
     match,
     occurrences,
     parse_perm,
     reverse,
-    skew_sum,
     standardize,
     swap_first_two,
 )
@@ -38,6 +36,10 @@ def test_as_perm_validation():
         as_perm((0, 1))
     with pytest.raises(ValueError):
         as_perm((2, 3))
+    with pytest.raises(ValueError):
+        as_perm((1, "2"))
+    with pytest.raises(ValueError):
+        as_perm((2, 2))
 
 
 def test_contains_examples():
@@ -132,23 +134,6 @@ def test_reverse_examples():
 @given(perm_strategy())
 def test_reverse_is_an_involution(p):
     assert reverse(reverse(p)) == p
-
-
-def test_sum_examples():
-    assert direct_sum((1,), (2, 1)) == (1, 3, 2)
-    assert direct_sum((), (3, 1, 2)) == (3, 1, 2)
-    assert direct_sum((1, 2), (1, 2)) == (1, 2, 3, 4)
-    assert skew_sum((1, 2), (1,)) == (2, 3, 1)
-    assert skew_sum((1, 2), (1, 2)) == (3, 4, 1, 2)
-    assert skew_sum((1, 2), (2, 1)) == (3, 4, 2, 1)
-
-
-@given(perm_strategy(4), perm_strategy(4), perm_strategy(4))
-def test_sums_are_associative_with_empty_identity(a, b, c):
-    assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
-    assert skew_sum(skew_sum(a, b), c) == skew_sum(a, skew_sum(b, c))
-    assert direct_sum(a, ()) == direct_sum((), a) == a
-    assert skew_sum(a, ()) == skew_sum((), a) == a
 
 
 def test_swap_first_two():
