@@ -53,14 +53,12 @@ from .perms import (
     Perm,
     all_perms,
     as_perm,
-    avoiders,
     contains,
     format_perm,
     identity,
     occurrences,
     parse_perm,
     reverse,
-    standardize,
     swap_first_two,
 )
 

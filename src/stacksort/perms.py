@@ -76,17 +76,6 @@ def format_perm(p: Sequence[int]) -> str:
     return " ".join(str(v) for v in p)
 
 
-def standardize(word: Sequence[int]) -> Perm:
-    """Reduce a sequence of distinct integers to the permutation of its ranks.
-
-    >>> standardize((5, 9, 2))
-    (2, 3, 1)
-    """
-    order = sorted(word)
-    rank = {v: i + 1 for i, v in enumerate(order)}
-    return tuple(rank[v] for v in word)
-
-
 def reverse(p: Perm) -> Perm:
     return p[::-1]
 
@@ -235,10 +224,3 @@ def all_perms(n: int) -> Iterator[Perm]:
         raise ValueError("n must be >= 0")
     return iter(itertools.permutations(range(1, n + 1)))
 
-
-def avoiders(n: int, basis: Iterable[Perm]) -> Iterator[Perm]:
-    """All permutations of length n avoiding every pattern in basis, lexicographic."""
-    basis = tuple(basis)
-    for p in all_perms(n):
-        if not any(contains(p, b) for b in basis):
-            yield p

@@ -4,9 +4,11 @@ formulas and reference sequences, at desk scale.
 Every check pits a predicate or closed form against exhaustive enumeration
 and reports one line per instance: "<id> | <pattern> | <n> | PASS/FAIL".
 Each machine (pattern, n) is walked once per run: `sortables` keeps its
-sortable inputs and the profile of their first-pass outputs in one table,
-which every check on that machine reads, and `verify_theorems` drops the
-tables of earlier runs on entry.
+sortable inputs, the profile of their first-pass outputs and, up to
+n = LEMMA_N, LEM 2.1's first counterexamples in one table, which every
+check on that machine reads.  Containment comes from one table of pattern
+masks up to n = TABLE_N and |tau| = TABLE_K, and from `contains` beyond.
+`verify_theorems` drops the tables of earlier runs on entry.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = WITNESS_N, are reported as INFO.
@@ -43,12 +45,10 @@ from .enumeration import (
 from .perms import (
     Perm,
     all_perms,
-    avoiders,
     contains,
     format_perm,
     identity,
     reverse,
-    standardize,
     swap_first_two,
 )
 
@@ -128,23 +128,71 @@ class CheckResult:
         return f"{base} ({self.detail})" if self.detail else base
 
 
+# The containment table's largest host and pattern, with one bit per pattern
+# of length 1..TABLE_K, and LEM 2.1's largest n.
+TABLE_N, TABLE_K, LEMMA_N = 8, 4, 7
+_BITS = {
+    tau: 1 << b for b, tau in enumerate(q for k in range(1, TABLE_K + 1) for q in all_perms(k))
+}
+
+
+def _deletions(p: Perm) -> Iterator[Perm]:
+    """The patterns of p one entry shorter, one per deleted position."""
+    return (tuple(x - (x > v) for x in p[:i] + p[i + 1 :]) for i, v in enumerate(p))
+
+
 @lru_cache(maxsize=None)
-def sortables(n: int, forbidden: Perm) -> tuple[tuple[Perm, ...], tuple[tuple[Perm, int], ...]]:
-    """(inputs, profile) from one walk: the sortable inputs of length n in
-    lexicographic order, and (output, count) for their first-pass outputs,
-    sorted by output."""
+def _masks(n: int) -> dict[Perm, int]:
+    """The mask of the patterns each permutation of length n contains: its own
+    bit OR the masks of its one-entry deletions, as pattern classes are downsets."""
+    smaller = _masks(n - 1) if n else {}
+    table = {p: _BITS.get(p, 0) for p in all_perms(n)}
+    for p in table:
+        for q in _deletions(p):
+            table[p] |= smaller[q]
+    return table
+
+
+def _contains(p: Perm, tau: Perm) -> bool:
+    """contains(p, tau) for a permutation p, read from the table within its sizes."""
+    bit = _BITS.get(tau)
+    if bit is None or len(p) > TABLE_N:
+        return contains(p, tau)
+    return bool(_masks(len(p))[p] & bit)
+
+
+@lru_cache(maxsize=None)
+def sortables(n: int, forbidden: Perm) -> tuple[tuple, tuple, tuple | None]:
+    """(inputs, profile, lemma) from one walk: the sortable inputs of length n,
+    lexicographic; (output, count) for their first-pass outputs, sorted by
+    output; and LEM 2.1's first counterexample to each half, as (half, input)
+    pairs.  Up to n = LEMMA_N the walk visits every input, for the lemma; beyond
+    it, and for patterns of length 2, only the sortable ones, and lemma is None."""
     inputs: list[Perm] = []
     counts: dict[Perm, int] = {}
-    for p, out in sortable_pairs(n, forbidden):
+    lemma = {} if len(forbidden) >= 3 and n <= LEMMA_N else None
+    rev, swapped = reverse(forbidden), swap_first_two(forbidden)
+    for p, out in (sortable_pairs if lemma is None else machine_outputs)(n, forbidden):
+        if lemma is not None:
+            if _contains(p, rev):
+                if not _contains(out, swapped):
+                    lemma.setdefault("swap", p)
+            elif out != reverse(p):
+                lemma.setdefault("rev", p)
+            if _contains(out, (2, 3, 1)):
+                continue
         inputs.append(p)
         counts[out] = counts.get(out, 0) + 1
-    return tuple(inputs), tuple(sorted(counts.items()))
+    lemma = None if lemma is None else tuple(lemma.items())
+    return tuple(inputs), tuple(sorted(counts.items())), lemma
 
 
 @lru_cache(maxsize=None)
 def avoider_set(n: int, basis: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    """The avoiders of basis of length n, lexicographic."""
-    return tuple(avoiders(n, basis))
+    """The avoiders of basis of length n, lexicographic: up to TABLE_N, the
+    mask table's own tuples, so that a run holds one copy of each."""
+    perms = _masks(n) if n <= TABLE_N else all_perms(n)
+    return tuple(p for p in perms if not any(_contains(p, b) for b in basis))
 
 
 def _first_witness(ns: range, witnesses: Callable[[int], Iterable]) -> tuple | None:
@@ -157,8 +205,7 @@ def _downset_violations(inputs: tuple[Perm, ...], smaller: tuple[Perm, ...]) -> 
     """(p, tau) for each input p and each pattern tau of p one entry shorter
     that is not in smaller."""
     members = set(smaller)
-    taus = ((p, standardize(p[:i] + p[i + 1 :])) for p in inputs for i in range(len(p)))
-    return ((p, tau) for p, tau in taus if tau not in members)
+    return ((p, tau) for p in inputs for tau in _deletions(p) if tau not in members)
 
 
 def _witness_status(found: bool, predicted: bool, max_n: int) -> str:
@@ -284,7 +331,7 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
             effective = is_effective(pattern)
             found = _first_witness(
                 range(1, max_n + 1),
-                lambda n: (g for g, _ in sortables(n, pattern)[1] if contains(g, pattern)),
+                lambda n: (g for g, _ in sortables(n, pattern)[1] if _contains(g, pattern)),
             )
             status = _witness_status(found is not None, not effective, max_n)
             detail = (
@@ -312,25 +359,17 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
 
 
 def _check_pass_reversal_lemma(max_len: int, max_n: int, out: list[CheckResult]) -> None:
-    cap = min(max_n, 7)
+    cap = min(max_n, LEMMA_N)
     claims = (
         ("rev", "inputs avoiding the reversed pattern come out reversed"),
         ("swap", "other outputs contain the pattern with first entries swapped"),
     )
     for m in range(3, max_len + 1):
         for pattern in all_perms(m):
-            rev = reverse(pattern)
-            swapped = swap_first_two(pattern)
             bad: dict[str, Perm] = {}  # the first counterexample to each half
             for n in range(1, cap + 1):
-                for p, output in machine_outputs(n, pattern):
-                    if contains(p, rev):
-                        if "swap" not in bad and not contains(output, swapped):
-                            bad["swap"] = p
-                    elif "rev" not in bad and output != reverse(p):
-                        bad["rev"] = p
-                if len(bad) == len(claims):
-                    break
+                for half, p in sortables(n, pattern)[2]:
+                    bad.setdefault(half, p)
             for half, claim in claims:
                 p = bad.get(half)
                 out.append(
@@ -403,6 +442,7 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     built."""
     sortables.cache_clear()
     avoider_set.cache_clear()
+    _masks.cache_clear()
     out: list[CheckResult] = []
     _check_class_characterization(max_len, max_n, out)
     _check_avoider_count_formula(max_n, out)

@@ -68,6 +68,22 @@ def brute_contains(host, pattern):
     return next(brute_occurrences(host, pattern), None) is not None
 
 
+def brute_avoiders(n, basis):
+    """The permutations of length n containing no pattern of basis,
+    lexicographic."""
+    return (
+        p
+        for p in itertools.permutations(range(1, n + 1))
+        if not any(brute_contains(p, b) for b in basis)
+    )
+
+
+def standardize(word):
+    """The permutation of the ranks of a sequence of distinct values."""
+    order = sorted(word)
+    return tuple(order.index(v) + 1 for v in word)
+
+
 def naive_stack_pass_traced(forbidden, perm):
     """Greedy pass that tests each push by checking the whole would-be
     content (top to bottom) for an occurrence of the forbidden pattern, not

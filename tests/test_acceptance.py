@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from oracles import standardize
 from stacksort.bivincular import (
     contains_anchored_132,
     count_anchored_132_avoiders,
@@ -34,7 +35,6 @@ from stacksort.perms import (
     contains,
     identity,
     reverse,
-    standardize,
     swap_first_two,
 )
 from stacksort.verify import (

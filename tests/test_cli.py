@@ -293,6 +293,12 @@ GOLDEN = [
         0,
         "88340c4924bbb844295a956f26a271180a03341aefa145009ccb1649fd83f7f0",
     ),
+    (
+        # the benchmark's verify job
+        ["verify", "--max-sigma-len", "4", "--max-n", "7"],
+        0,
+        "a48eafa253331a315d5386709dbc75ede5e2db0507ef1cd9825319a3c8b9fc07",
+    ),
     pytest.param(
         # the default report: 391 pass, 0 fail, 14 findings
         ["verify", "--max-sigma-len", "4", "--max-n", "8"],
@@ -316,6 +322,7 @@ GOLDEN = [
         "trace-1342",
         "classify-5-csv",
         "classify-6-csv",
+        "verify-4-7",
         "verify-4-8",
     ],
 )

@@ -1,8 +1,14 @@
+import random
+
+from oracles import brute_contains
+from stacksort import verify
 from stacksort.enumeration import sortable_permutations, sorted_profile
-from stacksort.perms import all_perms
+from stacksort.perms import all_perms, contains
 from stacksort.verify import (
     WITNESS_N,
     CheckResult,
+    _contains,
+    _masks,
     _witness_status,
     avoider_set,
     sortables,
@@ -99,17 +105,68 @@ def test_sortables_table_matches_both_enumerators():
     for m in (2, 3, 4):
         for sigma in all_perms(m):
             for n in range(1, 7):
-                assert sortables(n, sigma) == (
+                assert sortables(n, sigma)[:2] == (
                     tuple(sortable_permutations(n, sigma)),
                     tuple(sorted_profile(n, sigma).entries.items()),
                 )
 
 
 def test_theorem_suite_holds_one_runs_tables():
-    sortables.cache_clear()
-    avoider_set.cache_clear()
+    caches = (sortables, avoider_set, _masks)
+    for cache in caches:
+        cache.cache_clear()
     verify_theorems(3, 4)
-    lone = (sortables.cache_info().currsize, avoider_set.cache_info().currsize)
+    lone = [cache.cache_info().currsize for cache in caches]
     verify_theorems(4, 6)
     verify_theorems(3, 4)
-    assert (sortables.cache_info().currsize, avoider_set.cache_info().currsize) == lone
+    assert [cache.cache_info().currsize for cache in caches] == lone
+
+
+def test_containment_table_matches_brute_force():
+    taus = [tau for k in range(5) for tau in all_perms(k)]
+    hosts = [p for n in range(7) for p in all_perms(n)]
+    rng = random.Random(8)
+    hosts += [tuple(rng.sample(range(1, 9), 8)) for _ in range(300)]
+    for p in hosts:
+        for tau in taus:
+            assert _contains(p, tau) == brute_contains(p, tau), (p, tau)
+
+
+def test_containment_past_the_table_asks_contains(monkeypatch):
+    asked = []
+
+    def spy(p, tau):
+        asked.append((p, tau))
+        return contains(p, tau)
+
+    monkeypatch.setattr(verify, "contains", spy)
+    past = [
+        ((3, 1, 4, 2, 5, 7, 6), (2, 1, 3, 5, 4)),
+        ((3, 1, 4, 2, 5, 7, 6), (5, 4, 3, 2, 1)),
+        ((2, 4, 1, 3, 9, 5, 7, 6, 8), (3, 1, 4, 2)),
+        ((2, 4, 1, 3, 9, 5, 7, 6, 8), (4, 3, 2, 1)),
+    ]
+    for p, tau in past:
+        assert _contains(p, tau) == brute_contains(p, tau)
+    assert asked == past
+    assert _contains((2, 4, 1, 3), (2, 3, 1))
+    assert asked == past
+
+
+def test_pass_reversal_lemma_reads_the_walk(monkeypatch):
+    # 1234 avoids the reversed pattern 321 but does not come out reversed,
+    # and the output given to 4321 avoids the swapped pattern 213
+    real = verify.machine_outputs
+    wrong = {(1, 2, 3, 4): (1, 2, 3, 4), (4, 3, 2, 1): (1, 2, 3, 4)}
+
+    def walk(n, forbidden):
+        for p, out in real(n, forbidden):
+            yield p, wrong.get(p, out) if forbidden == (1, 2, 3) else out
+
+    monkeypatch.setattr(verify, "machine_outputs", walk)
+    try:
+        lines = {r.line() for r in verify_theorems(3, 4)}
+    finally:
+        sortables.cache_clear()
+    assert "LEM 2.1-rev | 1 2 3 | 4 | FAIL (counterexample 1 2 3 4)" in lines
+    assert "LEM 2.1-swap | 1 2 3 | 4 | FAIL (counterexample 4 3 2 1)" in lines
