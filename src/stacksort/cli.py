@@ -4,8 +4,7 @@ Subcommands: trace, count, classify, verify, fertility, explore.  Exit codes
 are stable: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error.  `count sortable|sorted` and `count anchored132 --method brute`
 refuse --max-n beyond 11 unless --force is given; verify, explore and
-fertility --n have no such guard.  --threads never changes any output, only
-how the enumeration work is partitioned.
+fertility --n have no such guard.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         check_forbidden(forbidden)
         _check_guard(args)
         fn = count_sortable if args.what == "sortable" else count_sorted
-        counts = [fn(n, forbidden, workers=args.threads) for n in range(1, args.max_n + 1)]
+        counts = [fn(n, forbidden) for n in range(1, args.max_n + 1)]
     elif args.method == "brute":  # anchored132 from here on
         _check_guard(args)
         counts = [count_anchored_132_avoiders_brute(n) for n in range(1, args.max_n + 1)]
@@ -200,7 +199,7 @@ def _cmd_fertility(args: argparse.Namespace) -> int:
         else:
             print(value)
         return 0
-    profile = sorted_profile(args.n, forbidden, workers=args.threads)
+    profile = sorted_profile(args.n, forbidden)
     if args.format == "json":
         print(json.dumps({format_perm(g): c for g, c in profile.entries.items()}))
     else:
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stacksort",
         description="Pattern-restricted stack machines: traces, counts, classification, verification.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker count (output is identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="step-by-step pass of one input through a restricted stack")

@@ -11,24 +11,22 @@ prune hook, which can cut the branch, since the output only grows:
 - fertility of gamma: cut once the output is no longer a prefix of gamma;
 - all first-pass outputs: never cut.
 
-Leaves come out lazily in lexicographic input order.  Totals are independent
-of the traversal, so the search can be partitioned by first entry and run on
-several workers; results are identical for any worker count, including one.
+Leaves come out lazily in lexicographic input order.  Counts and profiles
+are sums over one whole walk of `sortable_pairs`, run serially in the
+calling process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from .machine import check_forbidden, greedy_push
 from .perms import Perm, as_perm, watch_231
 
 Pair = tuple[Perm, Perm]
-T = TypeVar("T")
 
 # (values a node emits, state at the node) -> state below the node, or None
 # to cut the branch there
@@ -39,12 +37,9 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _walk(
-    forbidden: Perm, n: int, hook: PruneHook, state: object, first: int | None = None
-) -> Iterator[Pair]:
+def _walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[Pair]:
     """Yield (input, first-pass output) for every input of length n that the
-    hook keeps, in lexicographic input order, optionally restricted to one
-    first entry."""
+    hook keeps, in lexicographic input order."""
 
     def rec(
         free: tuple[int, ...], stack: list[int], out: Perm, prefix: Perm, state: object
@@ -63,11 +58,7 @@ def _walk(
                 rest = free[:i] + free[i + 1 :]
                 yield from rec(rest, s, out + tuple(popped), prefix + (v,), child)
 
-    values = tuple(range(1, n + 1))
-    if first is None:
-        yield from rec(values, [], (), (), state)
-    else:  # a push onto the empty stack pops nothing
-        yield from rec(values[: first - 1] + values[first:], [first], (), (first,), state)
+    return rec(tuple(range(1, n + 1)), [], (), (), state)
 
 
 def _no_231(popped: list[int], state: object) -> object:
@@ -98,35 +89,9 @@ def machine_outputs(n: int, forbidden: Perm) -> Iterator[Pair]:
     return _walk(check_forbidden(forbidden, n), n, _never, ())
 
 
-def _count_part(forbidden: Perm, n: int, first: int | None) -> int:
-    return sum(1 for _ in _walk(forbidden, n, _no_231, ([], 0), first))
-
-
-def _profile_part(forbidden: Perm, n: int, first: int | None) -> dict[Perm, int]:
-    counts: dict[Perm, int] = {}
-    for _, out in _walk(forbidden, n, _no_231, ([], 0), first):
-        counts[out] = counts.get(out, 0) + 1
-    return counts
-
-
-def _per_first_entry(
-    part: Callable[[Perm, int, int | None], T], forbidden: Perm, n: int, workers: int
-) -> Iterator[T]:
-    """Yield part(forbidden, n, first) for each first entry 1..n, in order,
-    computed on `workers` processes; n = 0 has no first entry and is one
-    whole walk."""
-    firsts = range(1, n + 1) or [None]
-    if workers <= 1:
-        yield from map(part, repeat(forbidden), repeat(n), firsts)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(part, repeat(forbidden), repeat(n), firsts)
-
-
-def count_sortable(n: int, forbidden: Perm, workers: int = 1) -> int:
+def count_sortable(n: int, forbidden: Perm) -> int:
     """|{p of length n : machine sorts p}|."""
-    forbidden = check_forbidden(forbidden, n)
-    return sum(_per_first_entry(_count_part, forbidden, n, workers))
+    return sum(1 for _ in sortable_pairs(n, forbidden))
 
 
 @dataclass
@@ -142,18 +107,15 @@ class SortedProfile:
         return sum(self.entries.values())
 
 
-def sorted_profile(n: int, forbidden: Perm, workers: int = 1) -> SortedProfile:
+def sorted_profile(n: int, forbidden: Perm) -> SortedProfile:
     forbidden = check_forbidden(forbidden, n)
-    merged: dict[Perm, int] = {}
-    for part in _per_first_entry(_profile_part, forbidden, n, workers):
-        for out, c in part.items():
-            merged[out] = merged.get(out, 0) + c
-    return SortedProfile(n, forbidden, {k: merged[k] for k in sorted(merged)})
+    counts = Counter(out for _, out in sortable_pairs(n, forbidden))
+    return SortedProfile(n, forbidden, {k: counts[k] for k in sorted(counts)})
 
 
-def count_sorted(n: int, forbidden: Perm, workers: int = 1) -> int:
+def count_sorted(n: int, forbidden: Perm) -> int:
     """Number of distinct first-pass outputs over all sortable inputs."""
-    return len(sorted_profile(n, forbidden, workers).entries)
+    return len(sorted_profile(n, forbidden).entries)
 
 
 def fertility(forbidden: Perm, gamma: Perm) -> int:

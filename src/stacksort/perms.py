@@ -30,9 +30,11 @@ Perm = tuple[int, ...]
 
 
 def as_perm(values: Iterable[int]) -> Perm:
-    """Validate and normalize to a tuple; raises ValueError if not a permutation."""
+    """Validate and normalize to a tuple; raises ValueError if not a
+    permutation, including when an entry is not exactly an int (2.0 and True
+    compare equal to integers but are rejected)."""
     p = tuple(values)
-    if set(p) != set(range(1, len(p) + 1)):
+    if not set(map(type, p)) <= {int} or set(p) != set(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
     return p
 

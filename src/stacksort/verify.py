@@ -550,27 +550,30 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
 
 
 def _check_two_letter_resolution(max_n: int, out: list[CheckResult]) -> None:
+    """PASS when 21 and 12 match one reference each, not the same one.  While
+    the references agree at every n <= max_n they cannot tell the patterns
+    apart: INFO when both patterns match both, FAIL otherwise."""
+    ns = range(1, max_n + 1)
     # In name order, so each list of matches below comes out sorted.
-    references = (
-        ("avoiders-of-213 (catalan)", lambda n: len(avoider_set(n, ((2, 1, 3),)))),
-        ("west-two-stack (A000139)", west_two_stack_count),
-    )
+    references = {
+        "avoiders-of-213 (catalan)": [len(avoider_set(n, ((2, 1, 3),))) for n in ns],
+        "west-two-stack (A000139)": [west_two_stack_count(n) for n in ns],
+    }
     m21, m12 = (
-        [
-            name
-            for name, count in references
-            if all(len(sortables(n, pattern)[0]) == count(n) for n in range(1, max_n + 1))
-        ]
-        for pattern in ((2, 1), (1, 2))
+        [name for name, row in references.items() if row == counts]
+        for counts in [[len(sortables(n, pattern)[0]) for n in ns] for pattern in ((2, 1), (1, 2))]
     )
-    # Consistent when the two patterns match one reference each, not the same one.
-    consistent = sorted([m21, m12]) == [[name] for name, _ in references]
+    names = list(references)
+    if references[names[0]] != references[names[1]]:  # they separate at some n <= max_n
+        status = "PASS" if sorted([m21, m12]) == [[name] for name in names] else "FAIL"
+    else:
+        status = "INFO" if m21 == m12 == names else "FAIL"
     out.append(
         CheckResult(
             "AMB two-letter",
             "-",
             max_n,
-            "PASS" if consistent else "FAIL",
+            status,
             f"21 matches {m21 or ['nothing']}, 12 matches {m12 or ['nothing']}",
         )
     )

@@ -106,14 +106,6 @@ def test_guard_rail(capsys):
     assert len(out.split()) == 14
 
 
-def test_threads_do_not_change_output(capsys):
-    _, seq1, _ = run(capsys, "count", "sortable", "--sigma", "213", "--max-n", "5")
-    _, seq2, _ = run(
-        capsys, "--threads", "2", "count", "sortable", "--sigma", "213", "--max-n", "5"
-    )
-    assert seq1 == seq2
-
-
 def test_classify_plain_non_tty_uses_letters(capsys):
     code, out, _ = run(capsys, "classify", "3")
     assert code == 0
@@ -239,6 +231,12 @@ def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch):
 def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["count", "sortable", "--sigma", "231"])  # missing --max-n
+    assert exc.value.code == 2
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "count", "sortable", "--sigma", "231", "--max-n", "5"])
     assert exc.value.code == 2
 
 

@@ -23,6 +23,7 @@ from stacksort.perms import (
     swap_first_two,
 )
 from stacksort.enumeration import catalan
+from stacksort.machine import stack_pass
 from stacksort.verify import avoider_set
 
 
@@ -45,6 +46,13 @@ def test_as_perm_validation():
         as_perm((1, "2"))
     with pytest.raises(ValueError):
         as_perm((2, 2))
+    # floats and bools compare equal to integers but are not entries
+    with pytest.raises(ValueError):
+        as_perm((2.0, 1.0))
+    with pytest.raises(ValueError):
+        as_perm((True,))
+    with pytest.raises(ValueError):
+        stack_pass((2, 3, 1), (2.0, 4.0, 1.0, 3.0))
 
 
 def test_contains_examples():

@@ -1,9 +1,13 @@
-"""The public surface: every exported name has a user, and the README's
-library example gives the values it shows."""
+"""The public surface: every exported name has a user, the README's library
+example gives the values it shows, and importing the library loads no
+process machinery."""
 
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -57,3 +61,21 @@ def test_readme_library_example():
     entries = sorted_profile(3, (1, 2, 3)).entries
     assert list(entries.items())[:2] == [((1, 3, 2), 1), ((2, 1, 3), 2)]
     assert contains_bivincular((1, 4, 3, 2), ANCHORED_132) is True
+
+
+def test_import_loads_no_process_pool():
+    # Enumeration is one serial walk; importing what the CLI and the
+    # benchmark use must not pull in the multiprocessing modules either.
+    code = (
+        "import sys, stacksort, stacksort.verify, stacksort.conjectures, stacksort.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

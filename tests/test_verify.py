@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from oracles import brute_contains
 from stacksort import verify
 from stacksort.enumeration import sortable_permutations, sorted_profile
@@ -50,11 +52,13 @@ def test_theorem_suite_reports_fertility_law_finding():
     assert all("holds" in r.detail for r in law)
 
 
-def test_two_letter_resolution_detail():
-    results = verify_theorems(3, 6)
+@pytest.mark.parametrize("max_n, status", [(1, "INFO"), (2, "INFO"), (3, "PASS"), (6, "PASS")])
+def test_two_letter_resolution_detail(max_n, status):
+    # Catalan and A000139 agree up to n = 2, so there both patterns match both.
+    results = verify_theorems(3, max_n)
     amb = [r for r in results if r.check_id == "AMB two-letter"]
     assert len(amb) == 1
-    assert amb[0].status == "PASS"
+    assert amb[0].status == status
     assert "west-two-stack" in amb[0].detail
     assert "catalan" in amb[0].detail
 
