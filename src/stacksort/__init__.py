@@ -11,16 +11,13 @@ pattern, and cross-checks every closed form against brute force.
 
 from .bivincular import (
     ANCHORED_132,
-    ANCHORED_132_REVERSED,
     FISHBURN_PATTERN,
     BivincularPattern,
     avoids_anchored_132_via_blocks,
     contains_anchored_132,
     contains_bivincular,
     count_anchored_132_avoiders,
-    count_anchored_132_avoiders_brute,
     first_element_decomposition,
-    reverse_bivincular,
 )
 from .classify import (
     ClassificationRow,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivincular import ANCHORED_132_REVERSED, contains_bivincular
+from .bivincular import contains_anchored_132
 from .perms import Perm, as_perm, contains, reverse, swap_first_two
 
 PATTERN_231: Perm = (2, 3, 1)
@@ -65,7 +65,7 @@ def _row(pattern: Perm) -> ClassificationRow:
     # A leading 1 lies in no 231, so a non-effective swapped pattern is 1
     # followed by a 231-avoiding remainder.
     effective = swap231 or swapped[0] != 1
-    mirror = not swap231 and contains_bivincular(pattern, ANCHORED_132_REVERSED)
+    mirror = not swap231 and contains_anchored_132(reverse(pattern))
     basis = None
     if not effective:
         label = LABEL_NOT_EFFECTIVE

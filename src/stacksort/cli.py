@@ -2,9 +2,10 @@
 
 Subcommands: trace, count, classify, verify, fertility, explore.  Exit codes
 are stable: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse error.  `count sortable|sorted` and `count anchored132 --method brute`
-refuse --max-n beyond 11 unless --force is given; verify, explore and
-fertility --n have no such guard.  Every command runs in one process.
+parse error.  `count sortable|sorted` refuse --max-n beyond 11 unless --force
+is given; `count anchored132` prints the closed form, whose exhaustive check
+is verify's THM 3.3 line; verify, explore and fertility --n have no such
+guard.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .bivincular import count_anchored_132_avoiders, count_anchored_132_avoiders_brute
+from .bivincular import count_anchored_132_avoiders
 from .classify import classification_row
 from .conjectures import equidistribution_report
 from .enumeration import count_sortable, count_sorted, fertility, sorted_profile
@@ -81,14 +82,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_guard(args: argparse.Namespace) -> None:
-    if args.max_n > ENUMERATION_GUARD and not args.force:
-        raise UsageError(
-            f"refusing: would enumerate > {ENUMERATION_GUARD}! permutations "
-            "(use --force to override)"
-        )
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.max_n < 0:  # the range below would make no library call to reject it
         raise UsageError("n must be >= 0")
@@ -97,12 +90,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise UsageError(f"count {args.what} requires --sigma")
         forbidden = _parse_perm_arg(args.sigma, "forbidden pattern")
         check_forbidden(forbidden)
-        _check_guard(args)
+        if args.max_n > ENUMERATION_GUARD and not args.force:
+            raise UsageError(
+                f"refusing: would enumerate > {ENUMERATION_GUARD}! permutations "
+                "(use --force to override)"
+            )
         fn = count_sortable if args.what == "sortable" else count_sorted
         counts = [fn(n, forbidden) for n in range(1, args.max_n + 1)]
-    elif args.method == "brute":  # anchored132 from here on
-        _check_guard(args)
-        counts = [count_anchored_132_avoiders_brute(n) for n in range(1, args.max_n + 1)]
     else:
         counts = [count_anchored_132_avoiders(n) for n in range(1, args.max_n + 1)]
     _emit_sequence(counts, args.format)
@@ -231,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("sortable", "sorted", "anchored132"))
     p.add_argument("--sigma", help="forbidden pattern (required for sortable/sorted)")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--method", choices=("brute", "formula"), help="anchored132 only; default formula")
     p.add_argument("--format", default="plain", choices=("plain", "csv", "json", "bfile"))
     p.add_argument("--force", action="store_true", help="allow max-n beyond the 11! guard")
     p.set_defaults(fn=_cmd_count)

@@ -175,7 +175,10 @@ def first_mismatch(
 
 def equidistribution_report(max_n: int, minima_convention: str = "strict") -> list[str]:
     """Per-n blocks of "pair -> count" lines for the three families, each
-    block followed by an equidistribution verdict."""
+    block followed by an equidistribution verdict.  Raises ValueError for
+    max_n < 0."""
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
     lines = [f"ascent-sequence right-to-left minima convention: {minima_convention}"]
     for n in range(1, max_n + 1):
         dists = [joint_distribution(kind, n, minima_convention) for kind in KINDS]

@@ -8,7 +8,9 @@ sortable inputs, the profile of their first-pass outputs and, up to
 n = LEMMA_N, LEM 2.1's first counterexamples in one table, which every
 check on that machine reads.  Containment comes from one table of pattern
 masks up to n = TABLE_N and |tau| = TABLE_K, and from `contains` beyond.
-`verify_theorems` drops the tables of earlier runs on entry.
+`verify_theorems` drops the tables of earlier runs on entry.  The
+anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read one scan of the
+permutations of each length.  Every suite raises ValueError for max_n < 0.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = WITNESS_N, are reported as INFO.
@@ -25,7 +27,6 @@ from .bivincular import (
     avoids_anchored_132_via_blocks,
     contains_anchored_132,
     count_anchored_132_avoiders,
-    count_anchored_132_avoiders_brute,
 )
 from .classify import (
     ALL_LABELS,
@@ -272,21 +273,6 @@ def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResul
                     )
 
 
-def _check_avoider_count_formula(max_n: int, out: list[CheckResult]) -> None:
-    for n in range(1, max_n + 1):
-        formula = count_anchored_132_avoiders(n)
-        brute = count_anchored_132_avoiders_brute(n)
-        out.append(
-            CheckResult(
-                "THM 3.3",
-                "-",
-                n,
-                "PASS" if formula == brute else "FAIL",
-                f"formula {formula} vs brute {brute}",
-            )
-        )
-
-
 def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[CheckResult]) -> None:
     for m in range(3, max_len + 1):
         for pattern in all_perms(m):
@@ -305,20 +291,36 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
 
 
 def _check_anchored_132_avoiders(max_n: int, out: list[CheckResult]) -> None:
-    """COR 3.2 and LEM 3.1 from one scan of the permutations of each length."""
+    """THM 3.3, and COR 3.2 and LEM 3.1 up to n = 8, from one scan of the
+    permutations of each length: the avoiders it counts are the exhaustive
+    side of the closed form."""
     claims = (
         ("COR 3.2", "avoiders starting with 1 are the identity"),
         ("LEM 3.1", "blocks all increasing <=> anchored 132 avoided"),
     )
     for n in range(1, max_n + 1):
-        broken = set()
+        lemmas = claims if n <= 8 else ()
+        brute, broken = 0, set()
         for p in all_perms(n):
             avoids = not contains_anchored_132(p)
+            brute += avoids
+            if not lemmas:
+                continue
             if avoids and p[0] == 1 and p != identity(n):
                 broken.add("COR 3.2")
             if avoids_anchored_132_via_blocks(p) != avoids:
                 broken.add("LEM 3.1")
-        for check_id, claim in claims:
+        formula = count_anchored_132_avoiders(n)
+        out.append(
+            CheckResult(
+                "THM 3.3",
+                "-",
+                n,
+                "PASS" if formula == brute else "FAIL",
+                f"formula {formula} vs brute {brute}",
+            )
+        )
+        for check_id, claim in lemmas:
             out.append(
                 CheckResult(check_id, "-", n, "FAIL" if check_id in broken else "PASS", claim)
             )
@@ -439,15 +441,16 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     Report lines come out sorted by check id, then pattern, then n.  The
     tables of earlier runs are dropped on entry, so a process holds one run's
     tables at most; verify_tables, called after it, reads the tables it
-    built."""
+    built.  Raises ValueError for max_n < 0."""
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
     sortables.cache_clear()
     avoider_set.cache_clear()
     _masks.cache_clear()
     out: list[CheckResult] = []
     _check_class_characterization(max_len, max_n, out)
-    _check_avoider_count_formula(max_n, out)
     _check_anchored_avoidance_of_sortables(max_len, max_n, out)
-    _check_anchored_132_avoiders(min(max_n, 8), out)
+    _check_anchored_132_avoiders(max_n, out)
     _check_effectiveness(max_len, max_n, out)
     _check_pass_reversal_lemma(max_len, max_n, out)
     _check_123_machine(max_n, out)
@@ -462,6 +465,8 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
 
 
 def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
     out: list[CheckResult] = []
     for pattern, row in SORTABLE_COUNTS.items():
         for n in range(1, min(max_n, len(row)) + 1):
@@ -584,6 +589,8 @@ def _check_two_letter_resolution(max_n: int, out: list[CheckResult]) -> None:
 
 
 def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> list[CheckResult]:
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
     out: list[CheckResult] = []
     for n in range(1, min(5, max_n) + 1):
         got = sum(1 for _ in fishburn_permutations(n))

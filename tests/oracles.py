@@ -4,6 +4,7 @@ walk."""
 
 import itertools
 
+from stacksort.bivincular import BivincularPattern
 from stacksort.perms import identity
 
 
@@ -75,6 +76,26 @@ def brute_avoiders(n, basis):
         p
         for p in itertools.permutations(range(1, n + 1))
         if not any(brute_contains(p, b) for b in basis)
+    )
+
+
+def reverse_bivincular(bp):
+    """The left-right mirror of a bivincular pattern: the pattern reversed,
+    position adjacencies flipped to k - x, value adjacencies untouched, so
+    that a host contains it exactly when the reversed host contains bp."""
+    k = len(bp.pattern)
+    return BivincularPattern(
+        bp.pattern[::-1], frozenset(k - x for x in bp.pos_adj), bp.val_adj
+    )
+
+
+def count_anchored_132_avoiders_brute(n):
+    """The number of permutations of length n with no anchored 132: no j with
+    p[0] < p[j+1] < p[j], tested here directly, not by the library's scan."""
+    return sum(
+        1
+        for p in itertools.permutations(range(1, n + 1))
+        if not any(p[0] < p[j + 1] < p[j] for j in range(1, n - 1))
     )
 
 

@@ -8,12 +8,8 @@ import time
 
 import pytest
 
-from oracles import standardize
-from stacksort.bivincular import (
-    contains_anchored_132,
-    count_anchored_132_avoiders,
-    count_anchored_132_avoiders_brute,
-)
+from oracles import count_anchored_132_avoiders_brute, standardize
+from stacksort.bivincular import contains_anchored_132, count_anchored_132_avoiders
 from stacksort.classify import is_effective, sort_is_class, sortables_avoid_anchored_132
 from stacksort.conjectures import (
     KINDS,

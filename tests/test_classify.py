@@ -1,6 +1,6 @@
 import pytest
 
-from stacksort.bivincular import ANCHORED_132_REVERSED, contains_bivincular
+from stacksort.bivincular import BivincularPattern, contains_bivincular
 from stacksort.classify import (
     ALL_LABELS,
     classification_row,
@@ -63,6 +63,7 @@ def test_exceptional_patterns_up_to_length_4():
 def test_three_way_equivalence_of_the_exceptional_condition():
     # predicate False <=> pattern = 12 skew beta with beta nonempty avoiding
     # 231 <=> swapped avoids 231 and the mirrored anchored pattern occurs
+    mirrored = BivincularPattern((2, 3, 1), frozenset({1, 3}), frozenset())
     for m in (3, 4):
         for pattern in all_perms(m):
             via_predicate = not sortables_avoid_anchored_132(pattern)
@@ -70,7 +71,7 @@ def test_three_way_equivalence_of_the_exceptional_condition():
             via_skew = beta is not None and len(beta) >= 1 and not contains(beta, (2, 3, 1))
             via_bivincular = not contains(
                 swap_first_two(pattern), (2, 3, 1)
-            ) and contains_bivincular(pattern, ANCHORED_132_REVERSED)
+            ) and contains_bivincular(pattern, mirrored)
             assert via_predicate == via_skew == via_bivincular
 
 

@@ -89,11 +89,10 @@ def test_count_anchored132_formula_and_brute(capsys):
     code, out, _ = run(capsys, "count", "anchored132", "--max-n", "6")
     assert code == 0
     assert out.strip() == "1 2 5 17 75 407"
-    code, brute, _ = run(
-        capsys, "count", "anchored132", "--max-n", "6", "--method", "brute"
-    )
-    assert code == 0
-    assert brute == out
+    # The exhaustive count is verify's THM 3.3 line; the --method switch is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "anchored132", "--max-n", "3", "--method", "brute"])
+    assert exc.value.code == 2
 
 
 def test_guard_rail(capsys):
@@ -186,6 +185,24 @@ def test_fertility_profile_rejects_negative_length(capsys):
 @pytest.mark.parametrize("what", ["sortable", "sorted", "anchored132"])
 def test_count_rejects_negative_length(capsys, what):
     code, out, err = run(capsys, "count", what, "--sigma", "21", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "error: n must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "-1"],
+        ["verify", "--suite", "theorems", "--max-n", "-1"],
+        ["verify", "--suite", "tables", "--max-n", "-3"],
+        ["verify", "--suite", "conjectures", "--max-n", "-1"],
+        ["explore", "--max-n", "-1"],
+    ],
+    ids=["all", "theorems", "tables", "conjectures", "explore"],
+)
+def test_negative_max_n_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error: n must be >= 0" in err

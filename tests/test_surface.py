@@ -1,20 +1,24 @@
 """The public surface: every exported name has a user, the README's library
-example gives the values it shows, and importing the library loads no
-process machinery."""
+example gives the values it shows and its command lines parse, and importing
+the library loads no process machinery."""
 
 import inspect
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import stacksort
 from stacksort import (
     ANCHORED_132,
+    cli,
     contains_bivincular,
     count_sortable,
     machine_output,
@@ -61,6 +65,25 @@ def test_readme_library_example():
     entries = sorted_profile(3, (1, 2, 3)).entries
     assert list(entries.items())[:2] == [((1, 3, 2), 1), ((2, 1, 3), 2)]
     assert contains_bivincular((1, 4, 3, 2), ANCHORED_132) is True
+
+
+def test_readme_command_lines_parse():
+    # Parsed, not run: a flag the CLI no longer has fails here.
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("stacksort ")
+    ]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 def test_import_loads_no_process_pool():

@@ -174,3 +174,29 @@ def test_pass_reversal_lemma_reads_the_walk(monkeypatch):
         sortables.cache_clear()
     assert "LEM 2.1-rev | 1 2 3 | 4 | FAIL (counterexample 1 2 3 4)" in lines
     assert "LEM 2.1-swap | 1 2 3 | 4 | FAIL (counterexample 4 3 2 1)" in lines
+
+
+def test_anchored_132_census_is_the_brute_side_of_the_formula(monkeypatch):
+    real = verify.count_anchored_132_avoiders
+    monkeypatch.setattr(verify, "count_anchored_132_avoiders", lambda n: real(n) + 1)
+    thm = [r for r in verify_theorems(3, 4) if r.check_id == "THM 3.3"]
+    assert [(r.n, r.status) for r in thm] == [(n, "FAIL") for n in range(1, 5)]
+    assert [r.detail for r in thm] == [
+        f"formula {brute + 1} vs brute {brute}" for brute in (1, 2, 5, 17)
+    ]
+
+
+def test_anchored_132_census_caps_the_lemmas_at_8():
+    # THM 3.3 runs to max_n; COR 3.2 and LEM 3.1 stop at n = 8, where the
+    # goldens stop too.
+    out = []
+    verify._check_anchored_132_avoiders(9, out)
+    assert all(r.status == "PASS" for r in out)
+    ns = {}
+    for r in out:
+        ns.setdefault(r.check_id, []).append(r.n)
+    assert ns == {
+        "THM 3.3": list(range(1, 10)),
+        "COR 3.2": list(range(1, 9)),
+        "LEM 3.1": list(range(1, 9)),
+    }
