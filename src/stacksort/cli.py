@@ -4,8 +4,9 @@ Subcommands: trace, count, classify, verify, fertility, explore.  Exit codes
 are stable: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error.  `count sortable|sorted` refuse --max-n beyond 11 unless --force
 is given; `count anchored132` prints the closed form, whose exhaustive check
-is verify's THM 3.3 line; verify, explore and fertility --n have no such
-guard.  Every command runs in one process.
+is verify's THM 3.3 line, and takes neither --sigma nor --force; verify,
+explore and fertility --n have no such guard.  Every command runs in one
+process.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         fn = count_sortable if args.what == "sortable" else count_sorted
         counts = [fn(n, forbidden) for n in range(1, args.max_n + 1)]
     else:
+        if args.sigma is not None or args.force:
+            raise UsageError("count anchored132 takes no --sigma or --force")
         counts = [count_anchored_132_avoiders(n) for n in range(1, args.max_n + 1)]
     _emit_sequence(counts, args.format)
     return 0

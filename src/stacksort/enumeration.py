@@ -2,8 +2,10 @@
 
 Every enumerator is one walk of the prefix tree of inputs.  The greedy pass
 is deterministic, so the machine state after consuming a prefix is the same
-for every completion: the walker applies `machine.greedy_push` once per tree
-node, to its own copy of the parent's stack, and each leaf drains the stack.
+for every completion: the walker applies the step of `machine.greedy_step`
+once per tree node, to its own copy of the parent's stack and blocked-value
+masks, and each leaf drains the stack.  The parent's top mask answers the
+first push test of every child.
 Every batch of values a node emits (the leaf drain included) goes through a
 prune hook, which can cut the branch, since the output only grows:
 
@@ -23,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .machine import check_forbidden, greedy_push
+from .machine import check_forbidden, greedy_step
 from .perms import Perm, as_perm, watch_231
 
 Pair = tuple[Perm, Perm]
@@ -41,8 +43,15 @@ def _walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[P
     """Yield (input, first-pass output) for every input of length n that the
     hook keeps, in lexicographic input order."""
 
+    step = greedy_step(forbidden, n)
+
     def rec(
-        free: tuple[int, ...], stack: list[int], out: Perm, prefix: Perm, state: object
+        free: tuple[int, ...],
+        stack: list[int],
+        blocked: list[int],
+        out: Perm,
+        prefix: Perm,
+        state: object,
     ) -> Iterator[Pair]:
         if not free:
             drained = stack[::-1]
@@ -50,15 +59,15 @@ def _walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[P
                 yield prefix, out + tuple(drained)
             return
         for i, v in enumerate(free):
-            s = stack.copy()
+            s, b = stack.copy(), blocked.copy()
             popped: list[int] = []
-            greedy_push(v, s, popped.append, forbidden)
+            step(v, s, b, popped.append)
             child = hook(popped, state) if popped else state
             if child is not None:
                 rest = free[:i] + free[i + 1 :]
-                yield from rec(rest, s, out + tuple(popped), prefix + (v,), child)
+                yield from rec(rest, s, b, out + tuple(popped), prefix + (v,), child)
 
-    return rec(tuple(range(1, n + 1)), [], (), (), state)
+    return rec(tuple(range(1, n + 1)), [], [0], (), (), state)
 
 
 def _no_231(popped: list[int], state: object) -> object:

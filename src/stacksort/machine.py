@@ -8,19 +8,23 @@ machine is such a pass followed by a pass through a plain increasing stack
 (forbidden pattern 21), and an input is sortable when the machine emits the
 identity, i.e. when the first-pass output avoids 231.
 
-The greedy rule is written once, in `greedy_push`; `stack_pass`,
-`stack_pass_traced` and `is_sortable` are one loop over it that can also
-record the push/pop events and feed the output to the 231 watcher of
+The greedy rule is written once, in the step that `greedy_step` returns;
+`stack_pass`, `stack_pass_traced` and `is_sortable` are one loop over it that
+can also record the push/pop events and feed the output to the 231 watcher of
 `perms`, stopping at the first occurrence.  The prefix-tree walker of
 `enumeration` runs the same step once per tree node.
 
 Since the content is legal before every push, a push can only be illegal if
-the new element is the *first* (topmost) entry of an occurrence, so the push
-test searches occurrences anchored at the candidate: `_anchored3` for
-patterns of length 3, and for longer ones `perms.match` on the candidate
-followed by the content, top to bottom, with the first entry pinned to the
-candidate.  The public functions check the forbidden pattern and the input
-permutation once per call and raise ValueError on anything else.
+the new element is the *first* (topmost) entry of an occurrence.  For
+patterns of length 2 to 4 each stack level d keeps a mask of the values whose
+push onto the bottom d entries would start one: a push test reads one bit, a
+pop drops the top level, and a push of c adds to the level below the values
+that c would become the second entry for, found in one bottom-up scan of the
+entries below c (`_blocked_by`).  Longer patterns test each push with
+`perms.match` on the candidate followed by the content, top to bottom, with
+the first entry pinned to the candidate (`push_blocked`).  The public
+functions check the forbidden pattern and the input permutation once per
+call and raise ValueError on anything else.
 """
 
 from __future__ import annotations
@@ -43,38 +47,84 @@ class TraceEvent:
 MachineTrace = tuple[TraceEvent, ...]
 
 
-def _anchored3(v: int, stack: Sequence[int], s1: int, s2: int, s3: int) -> bool:
-    # Is there a pair a-then-b below v (top to bottom) with (v, a, b) order-
-    # isomorphic to (s1, s2, s3)?  Only the extremal valid 'a' matters: the
-    # smallest one when b must exceed a, the largest otherwise.
-    up2 = s2 > s1
-    up3 = s3 > s1
-    up32 = s3 > s2
-    best = 0
-    for idx in range(len(stack) - 1, -1, -1):
-        c = stack[idx]
-        if best and ((c > v) == up3) and ((c > best) == up32):
-            return True
-        if (c > v) == up2:
-            if not best or (c < best) == up32:
-                best = c
-    return False
-
-
 def push_blocked(v: int, stack: Sequence[int], forbidden: Perm) -> bool:
     """Would pushing v (on top of stack, listed bottom to top) complete an
-    occurrence of the forbidden pattern in the content read top to bottom?"""
-    k = len(forbidden)
-    if len(stack) < k - 1:
+    occurrence of the forbidden pattern in the content read top to bottom?
+    The push test for patterns of length 5 or more."""
+    if len(stack) < len(forbidden) - 1:
         return False
-    if k == 2:
-        # a legal 21-stack has its minimum on top, a legal 12-stack its maximum
-        if forbidden[0] > forbidden[1]:
-            return v > stack[-1]
-        return v < stack[-1]
-    if k == 3:
-        return _anchored3(v, stack, *forbidden)
     return next(match([v, *reversed(stack)], forbidden, _PINNED_START), None) is not None
+
+
+def _blocked_by(forbidden: Perm, n: int) -> Callable[[int, Sequence[int]], int]:
+    """For a pattern of length 2, 3 or 4 and values 1..n: the function
+    (c, stack) -> the mask of the values v whose push onto stack + [c] would
+    complete an occurrence (v, c, ...) of the pattern, read top to bottom.
+
+    x[r] is the value of the occurrence entry of rank r in the pattern, with
+    sentinels x[0] = 0 and x[k + 1] = n + 1, so the values v may take lie
+    strictly between x[s1 - 1] and x[s1 + 1].  Below c, each entry a on the
+    right side of c adds one such interval; for k = 4 its last entry z is the
+    extremal value in z's window among the entries below a: the smallest when
+    z bounds v from below, the largest otherwise, since every other z gives a
+    subinterval.  For k = 3 only the extremal a matters, by the same argument.
+    """
+    k = len(forbidden)
+    s1, s2 = forbidden[0], forbidden[1]
+    lo_rank, hi_rank = s1 - 1, s1 + 1
+    x = [0] * (k + 2)
+    x[k + 1] = n + 1
+
+    def interval() -> int:
+        lo, hi = x[lo_rank], x[hi_rank]
+        return (1 << hi) - (2 << lo) if hi > lo + 1 else 0
+
+    if k == 2:
+
+        def grow(c: int, stack: Sequence[int]) -> int:
+            x[s2] = c
+            return interval()
+
+        return grow
+
+    s3 = forbidden[2]
+    a_up = s3 > s2  # a is above c in value
+    if k == 3:
+        pick = min if s3 < s1 else max
+
+        def grow(c: int, stack: Sequence[int]) -> int:
+            valid = [a for a in stack if a > c] if a_up else [a for a in stack if a < c]
+            if not valid:
+                return 0
+            x[s2], x[s3] = c, pick(valid)
+            return interval()
+
+        return grow
+
+    s4 = forbidden[3]
+    z_lo_rank = max(r for r in (0, s2, s3) if r < s4)  # z's window
+    z_hi_rank = min(r for r in (s2, s3, k + 1) if r > s4)
+    z_low = s4 < s1  # z bounds v from below: take the smallest
+
+    def grow(c: int, stack: Sequence[int]) -> int:
+        x[s2] = c
+        mask = seen = 0  # seen: the values of the entries below a
+        for a in stack:
+            if seen and (a > c) == a_up:
+                x[s3] = a
+                lo, hi = x[z_lo_rank], x[z_hi_rank]
+                if z_low:
+                    m = seen >> lo + 1
+                    z = lo + (m & -m).bit_length()
+                else:
+                    z = (seen & (1 << hi) - 1).bit_length() - 1
+                if lo < z < hi:
+                    x[s4] = z
+                    mask |= interval()
+            seen |= 1 << a
+        return mask
+
+    return grow
 
 
 def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
@@ -88,15 +138,45 @@ def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
     return forbidden
 
 
-def greedy_push(v: int, stack: list[int], emit: Callable[[int], object], forbidden: Perm) -> bool:
-    """The greedy rule for the next input v: pop the top, handing it to emit,
-    while pushing v would be illegal, then push v.  Returns False, without
-    pushing, as soon as emit returns False."""
-    while stack and push_blocked(v, stack, forbidden):
-        if emit(stack.pop()) is False:
-            return False
-    stack.append(v)
-    return True
+Emit = Callable[[int], object]
+Step = Callable[[int, list[int], list[int], Emit], bool]
+
+
+def greedy_step(forbidden: Perm, n: int) -> Step:
+    """The greedy rule for inputs with values 1..n, as step(v, stack,
+    blocked, emit): pop the top, handing it to emit, while pushing v would be
+    illegal, then push v.  Returns False, without pushing, as soon as emit
+    returns False.
+
+    For a pattern of length <= 4, blocked[d] is the mask of the values whose
+    push onto stack[:d] is illegal: it starts as [0], a pop drops its top and
+    a push of c appends blocked[-1] with the values that c would start to
+    block, so every push test is one bit.  Longer patterns test each push
+    with push_blocked and leave blocked alone.
+    """
+    if len(forbidden) > 4:
+
+        def step(v: int, stack: list[int], blocked: list[int], emit: Emit) -> bool:
+            while stack and push_blocked(v, stack, forbidden):
+                if emit(stack.pop()) is False:
+                    return False
+            stack.append(v)
+            return True
+
+        return step
+
+    grow = _blocked_by(forbidden, n)
+
+    def step(v: int, stack: list[int], blocked: list[int], emit: Emit) -> bool:
+        while blocked[-1] >> v & 1:
+            blocked.pop()
+            if emit(stack.pop()) is False:
+                return False
+        blocked.append(blocked[-1] | grow(v, stack))
+        stack.append(v)
+        return True
+
+    return step
 
 
 def _pass(
@@ -109,9 +189,11 @@ def _pass(
     Otherwise, with `watch`, each output value is fed to the 231 watcher and
     None is returned at the first occurrence, since the rest of the pass only
     appends."""
+    step = greedy_step(forbidden, len(perm))
     stack: list[int] = []
+    blocked = [0]
     out: list[int] = []
-    emit: Callable[[int], object] = out.append
+    emit: Emit = out.append
     if events is not None:
 
         def emit(t: int) -> None:
@@ -129,7 +211,7 @@ def _pass(
             return ceiling >= 0
 
     for v in perm:
-        if not greedy_push(v, stack, emit, forbidden):
+        if not step(v, stack, blocked, emit):
             return None
         if events is not None:
             events.append(TraceEvent("push", v))

@@ -435,15 +435,22 @@ def _check_123_fertility_law(max_n: int, out: list[CheckResult]) -> None:
         )
 
 
+def _check_limits(max_len: int, max_n: int) -> None:
+    # A pattern length below 2 would leave every pattern check out silently.
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
+    if max_len < 2:
+        raise ValueError("max pattern length must be >= 2")
+
+
 def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     """Run every predicate/enumeration cross-check; see module docstring.
 
     Report lines come out sorted by check id, then pattern, then n.  The
     tables of earlier runs are dropped on entry, so a process holds one run's
     tables at most; verify_tables, called after it, reads the tables it
-    built.  Raises ValueError for max_n < 0."""
-    if max_n < 0:
-        raise ValueError("n must be >= 0")
+    built.  Raises ValueError for max_n < 0 or max_len < 2."""
+    _check_limits(max_len, max_n)
     sortables.cache_clear()
     avoider_set.cache_clear()
     _masks.cache_clear()
@@ -465,8 +472,7 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
 
 
 def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
-    if max_n < 0:
-        raise ValueError("n must be >= 0")
+    _check_limits(max_len, max_n)
     out: list[CheckResult] = []
     for pattern, row in SORTABLE_COUNTS.items():
         for n in range(1, min(max_n, len(row)) + 1):

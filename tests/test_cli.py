@@ -208,6 +208,32 @@ def test_negative_max_n_is_rejected(capsys, argv):
     assert "error: n must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--sigma", "99x"], ["--sigma", "231"], ["--force"]], ids=["bad-sigma", "sigma", "force"]
+)
+def test_count_anchored132_rejects_sigma_and_force(capsys, extra):
+    code, out, err = run(capsys, "count", "anchored132", "--max-n", "3", *extra)
+    assert code == 2
+    assert out == ""
+    assert "error: count anchored132 takes no --sigma or --force" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-sigma-len", "1", "--max-n", "3"],
+        ["verify", "--suite", "theorems", "--max-sigma-len", "1", "--max-n", "3"],
+        ["verify", "--suite", "tables", "--max-sigma-len", "-5", "--max-n", "3"],
+    ],
+    ids=["all", "theorems", "tables"],
+)
+def test_max_sigma_len_below_2_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: max pattern length must be >= 2" in err
+
+
 def test_explore_prints_blocks(capsys):
     code, out, _ = run(capsys, "explore", "--max-n", "3")
     assert code == 0

@@ -116,11 +116,15 @@ def test_fertility_matches_full_scan(forbidden):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_machine_outputs_match_naive_pass(k):
+    # the walker runs the same greedy step as the pass, one node at a time
     for forbidden in all_perms(k):
-        for n in range(6):
+        for n in range(7):
             assert list(machine_outputs(n, forbidden)) == [
                 (p, naive_stack_pass(forbidden, p)) for p in all_perms(n)
             ]
+            assert count_sortable(n, forbidden) == sum(
+                sorts_to_identity(forbidden, p) for p in all_perms(n)
+            )
 
 
 def test_fertility_of_231_avoiding_outputs_equals_profile_entry():

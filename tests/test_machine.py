@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import backtrack_contains, naive_stack_pass, naive_stack_pass_traced, sorts_to_identity
 from stacksort.machine import (
     TraceEvent,
+    greedy_step,
     is_sortable,
     machine_output,
     push_blocked,
@@ -147,7 +149,7 @@ def test_pop_trigger_correctness():
     # Replaying a trace: every pop happens exactly because pushing the next
     # input element would complete a forbidden occurrence, and every push
     # happens exactly because it would not.
-    for k in (2, 3):
+    for k in (2, 3, 4):
         for forbidden in all_perms(k):
             for n in range(0, 7):
                 for p in all_perms(n):
@@ -202,6 +204,30 @@ def test_push_blocked_matches_whole_content_check(forbidden, values):
     )
 
 
+@given(
+    st.sampled_from([p for k in (2, 3, 4) for p in all_perms(k)]),
+    st.integers(1, 14).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_masks_match_whole_content_check(forbidden, values):
+    # Legal content: each value that keeps the stack legal, in order.  At
+    # every level d, bit v of the mask is set exactly when pushing v onto
+    # the bottom d entries would make the content contain the pattern.
+    stack = []
+    for c in values:
+        if not backtrack_contains((c,) + tuple(reversed(stack)), forbidden):
+            stack.append(c)
+    step = greedy_step(forbidden, len(values))
+    built, blocked, popped = [], [0], []
+    for c in stack:
+        step(c, built, blocked, popped.append)
+    assert built == stack and not popped and len(blocked) == len(stack) + 1
+    for d, mask in enumerate(blocked):
+        below = tuple(reversed(stack[:d]))
+        for v in set(values) - set(stack[:d]):
+            assert (mask >> v & 1) == backtrack_contains((v,) + below, forbidden)
+
+
 def test_trace_serialization_round_trip():
     _, trace = stack_pass_traced((2, 3, 1), (2, 4, 1, 3))
     as_json = trace_json(trace)
@@ -224,8 +250,8 @@ def _avoider_132(splits):
 
 
 LONG_INPUTS = st.one_of(
-    st.integers(0, 30).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
-    st.lists(st.integers(0, 29), max_size=30).map(_avoider_132),
+    st.integers(0, 60).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
+    st.lists(st.integers(0, 59), max_size=60).map(_avoider_132),
 )
 
 
@@ -238,8 +264,21 @@ def test_avoider_132_builder():
         assert built == {p for p in all_perms(n) if not contains(p, (1, 3, 2))}
 
 
+# Patterns of length 5 take the perms.match push test: a fixed sample.
+LENGTH_5_SAMPLE = [
+    (1, 2, 3, 4, 5),
+    (5, 4, 3, 2, 1),
+    (2, 4, 1, 5, 3),
+    (3, 1, 5, 2, 4),
+    (1, 3, 2, 5, 4),
+    (4, 5, 1, 2, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "forbidden", list(all_perms(3)) + list(all_perms(4)), ids=lambda p: "".join(map(str, p))
+    "forbidden",
+    list(all_perms(3)) + list(all_perms(4)) + LENGTH_5_SAMPLE,
+    ids=lambda p: "".join(map(str, p)),
 )
 @given(p=LONG_INPUTS)
 @settings(max_examples=40, deadline=None)
@@ -249,7 +288,28 @@ def test_pass_matches_oracle_on_long_inputs(forbidden, p):
     traced_out, trace = stack_pass_traced(forbidden, p)
     assert traced_out == out
     assert [(ev.op, ev.value) for ev in trace] == events
-    assert is_sortable(forbidden, p) == sorts_to_identity(forbidden, p)
+    # sorts_to_identity, reusing the oracle's first pass
+    assert is_sortable(forbidden, p) == (naive_stack_pass((2, 1), out) == identity(len(p)))
+
+
+def _match_pass(forbidden, p):
+    # the pass with perms.match as the push test, as for patterns of length 5+
+    stack, out = [], []
+    for v in p:
+        while stack and push_blocked(v, stack, forbidden):
+            out.append(stack.pop())
+        stack.append(v)
+    return tuple(out + stack[::-1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("forbidden", list(all_perms(4)), ids=lambda p: "".join(map(str, p)))
+def test_deep_stack_pass_matches_match_based_pass(forbidden):
+    rng = random.Random(4)
+    inputs = [_avoider_132([rng.randrange(n) for _ in range(n)]) for n in (100, 125, 150)]
+    inputs += [tuple(rng.sample(range(1, n + 1), n)) for n in (100, 125, 150)]
+    for p in inputs + [identity(200)]:
+        assert stack_pass(forbidden, p) == _match_pass(forbidden, p)
 
 
 def test_trace_is_fast():

@@ -71,6 +71,14 @@ def test_table_suite_small_run():
     assert "2 1" == infos[0].subject
 
 
+@pytest.mark.parametrize("suite", [verify_theorems, verify_tables, verify.verify_all])
+@pytest.mark.parametrize("max_len", [1, 0, -5])
+def test_pattern_length_below_2_is_rejected(suite, max_len):
+    # such a run would leave out every pattern check and still pass
+    with pytest.raises(ValueError, match="max pattern length must be >= 2"):
+        suite(max_len, 3)
+
+
 def test_conjecture_suite_small_run():
     results = verify_conjectures(5)
     assert all(r.status != "FAIL" for r in results)
