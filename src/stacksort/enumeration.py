@@ -2,20 +2,28 @@
 
 Every enumerator is one walk of the prefix tree of inputs.  The greedy pass
 is deterministic, so the machine state after consuming a prefix is the same
-for every completion: the walker applies the step of `machine.greedy_step`
-once per tree node, to its own copy of the parent's stack and blocked-value
-masks, and each leaf drains the stack.  The parent's top mask answers the
-first push test of every child.
-Every batch of values a node emits (the leaf drain included) goes through a
-prune hook, which can cut the branch, since the output only grows:
+for every completion.  For each child v of a tree node the walker reads the
+depth d at which v lands from `machine.greedy_step` (for patterns of length
+2 to 4, a few bit tests of the node's blocked-value masks) and asks a prune
+hook whether to take the child, before any copy or push.  Only a kept child
+gets its slice of the node's stack and masks and the push of v; its output
+grows by the popped entries stack[d:], top first.
 
-- sortable inputs: cut once the output contains 231;
-- fertility of gamma: cut once the output is no longer a prefix of gamma;
+The stack is last-in first-out, so a node's committed sequence, its output
+followed by its stack read top down, is a subsequence of the output of every
+leaf below it, and the hook judges the child on the child's committed
+sequence:
+
+- sortable inputs: it must avoid 231.  The node's own does, so only
+  occurrences through v are tested, each in O(1) from masks the hook state
+  keeps per stack level beside the blocked masks;
+- fertility of gamma: it must be a prefix of gamma followed by a
+  subsequence of the rest of gamma;
 - all first-pass outputs: never cut.
 
-Leaves come out lazily in lexicographic input order.  Counts and profiles
-are sums over one whole walk of `sortable_pairs`, run serially in the
-calling process.
+A leaf is then kept without a further check.  Leaves come out lazily in
+lexicographic input order.  Counts and profiles are sums over one whole walk
+of `sortable_pairs`, run serially in the calling process.
 """
 
 from __future__ import annotations
@@ -26,13 +34,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .machine import check_forbidden, greedy_step
-from .perms import Perm, as_perm, watch_231
+from .perms import Perm, as_perm
 
 Pair = tuple[Perm, Perm]
 
-# (values a node emits, state at the node) -> state below the node, or None
-# to cut the branch there
-PruneHook = Callable[[list[int], object], object]
+# (v, depth d where v lands, the node's stack, the node's state) -> the
+# child's state, or None to cut the child before its push
+PruneHook = Callable[[int, int, list[int], object], object]
 
 
 def catalan(n: int) -> int:
@@ -43,7 +51,7 @@ def _walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[P
     """Yield (input, first-pass output) for every input of length n that the
     hook keeps, in lexicographic input order."""
 
-    step = greedy_step(forbidden, n)
+    land, push = greedy_step(forbidden, n)
 
     def rec(
         free: tuple[int, ...],
@@ -54,37 +62,65 @@ def _walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[P
         state: object,
     ) -> Iterator[Pair]:
         if not free:
-            drained = stack[::-1]
-            if hook(drained, state) is not None:
-                yield prefix, out + tuple(drained)
+            yield prefix, out + tuple(reversed(stack))
             return
+        top = len(stack)
         for i, v in enumerate(free):
-            s, b = stack.copy(), blocked.copy()
-            popped: list[int] = []
-            step(v, s, b, popped.append)
-            child = hook(popped, state) if popped else state
+            d = land(v, stack, blocked)
+            child = hook(v, d, stack, state)
             if child is not None:
+                s, b = stack[:d], blocked[: d + 1]
+                push(v, s, b)
                 rest = free[:i] + free[i + 1 :]
-                yield from rec(rest, s, b, out + tuple(popped), prefix + (v,), child)
+                grown = out + tuple(stack[d:])[::-1] if d < top else out
+                yield from rec(rest, s, b, grown, prefix + (v,), child)
 
     return rec(tuple(range(1, n + 1)), [], [0], (), (), state)
 
 
-def _no_231(popped: list[int], state: object) -> object:
-    mono, ceiling = state
-    mono = mono.copy()
-    ceiling = watch_231(popped, mono, ceiling)
-    return None if ceiling < 0 else (mono, ceiling)
+def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
+    """Keep v, landing at depth d, when out + popped + v + stack[:d] read
+    top down avoids 231, given that out + the stack read top down does.
+
+    state is (ceiling, emitted, levels): the 231 watcher's ceiling after
+    out (`perms.watch_231`), the mask of the values in out, and for each
+    stack level j the mask of stack[:j], its minimum (n + 1 when j = 0) and
+    the union of the open intervals (min(stack[:i]), stack[i]) over i < j.
+    """
+    ceiling, emitted, levels = state
+    below, low, inner = levels[d]
+    if d < len(stack):
+        # The popped entries add the pairs a < b, a first: a in out below
+        # the largest popped value, or a popped value that sits above a
+        # larger popped one.  The stack read bottom up avoids 132, so the
+        # latter are the entries above stack[d] that are smaller than it.
+        popped = levels[-1][0] ^ below
+        ceiling = max(
+            ceiling,
+            (emitted & (1 << popped.bit_length() - 1) - 1).bit_length() - 1,
+            (popped & (1 << stack[d]) - 1).bit_length() - 1,
+        )
+        emitted |= popped
+    # v is the 1 after such a pair; or the 2 before an entry of stack[:d]
+    # above it in value and a deeper entry below it; or the 3 after an
+    # emitted value above min(stack[:d]) and below v
+    if v < ceiling or inner >> v & 1 or (emitted & (1 << v) - 1) >> low + 1:
+        return None
+    if low < v:
+        level = (below | 1 << v, low, inner | (1 << v) - (2 << low))
+    else:
+        level = (below | 1 << v, v, inner)
+    return ceiling, emitted, levels[: d + 1] + [level]
 
 
-def _never(popped: list[int], state: object) -> object:
+def _never(v: int, d: int, stack: list[int], state: object) -> object:
     return state
 
 
 def sortable_pairs(n: int, forbidden: Perm) -> Iterator[Pair]:
     """(input, first-pass output) for every sortable input of length n,
     lexicographic input order: the sortable twin of machine_outputs."""
-    return _walk(check_forbidden(forbidden, n), n, _no_231, ([], 0))
+    return _walk(check_forbidden(forbidden, n), n, _no_231, (0, 0, [(0, n + 1, 0)]))
 
 
 def sortable_permutations(n: int, forbidden: Perm) -> Iterator[Perm]:
@@ -131,13 +167,24 @@ def fertility(forbidden: Perm, gamma: Perm) -> int:
     """Number of permutations (of the same length, sortable or not) whose
     first-pass output is exactly gamma."""
     forbidden = check_forbidden(forbidden)
-    target = list(as_perm(gamma))
+    target = as_perm(gamma)
+    pos = [0] * (len(target) + 1)
+    for i, x in enumerate(target):
+        pos[x] = i
 
-    def prefix_of_gamma(popped: list[int], done: object) -> object:
-        end = done + len(popped)
-        return end if target[done:end] == popped else None
+    def follows_gamma(v: int, d: int, stack: list[int], done: object) -> object:
+        # Invariant: out is gamma[:done] and the stack, read top down, sits
+        # at increasing positions of gamma[done:].  So the popped entries
+        # are gamma's next ones exactly when the deepest of them, stack[d],
+        # ends that run; v must follow them and precede stack[d - 1].
+        end = done + len(stack) - d
+        if d < len(stack) and pos[stack[d]] >= end:
+            return None
+        if pos[v] < end or d and pos[v] > pos[stack[d - 1]]:
+            return None
+        return end
 
-    return sum(1 for _ in _walk(forbidden, len(target), prefix_of_gamma, 0))
+    return sum(1 for _ in _walk(forbidden, len(target), follows_gamma, 0))
 
 
 def count_sortable_123_formula(n: int) -> int:

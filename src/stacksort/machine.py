@@ -8,11 +8,12 @@ machine is such a pass followed by a pass through a plain increasing stack
 (forbidden pattern 21), and an input is sortable when the machine emits the
 identity, i.e. when the first-pass output avoids 231.
 
-The greedy rule is written once, in the step that `greedy_step` returns;
-`stack_pass`, `stack_pass_traced` and `is_sortable` are one loop over it that
-can also record the push/pop events and feed the output to the 231 watcher of
-`perms`, stopping at the first occurrence.  The prefix-tree walker of
-`enumeration` runs the same step once per tree node.
+The greedy rule is written once, in the landing depth and push that
+`greedy_step` returns; `stack_pass`, `stack_pass_traced` and `is_sortable`
+are one loop over it that can also record the push/pop events and feed the
+output to the 231 watcher of `perms`, stopping at the first occurrence.  The
+prefix-tree walker of `enumeration` reads the same landing depth for every
+child of a tree node and pushes only for the children it keeps.
 
 Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence.  For
@@ -139,44 +140,51 @@ def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
 
 
 Emit = Callable[[int], object]
-Step = Callable[[int, list[int], list[int], Emit], bool]
+Land = Callable[[int, list[int], list[int]], int]
+Push = Callable[[int, list[int], list[int]], None]
 
 
-def greedy_step(forbidden: Perm, n: int) -> Step:
-    """The greedy rule for inputs with values 1..n, as step(v, stack,
-    blocked, emit): pop the top, handing it to emit, while pushing v would be
-    illegal, then push v.  Returns False, without pushing, as soon as emit
-    returns False.
+def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
+    """The greedy rule for inputs with values 1..n: pop the top while pushing
+    v would be illegal, then push v.  land(v, stack, blocked) is the depth d
+    at which v lands; the top entries stack[d:] leave, top first, and
+    push(v, stack, blocked) pushes v once stack and blocked are cut to
+    stack[:d] and blocked[:d + 1].
 
-    For a pattern of length <= 4, blocked[d] is the mask of the values whose
-    push onto stack[:d] is illegal: it starts as [0], a pop drops its top and
-    a push of c appends blocked[-1] with the values that c would start to
-    block, so every push test is one bit.  Longer patterns test each push
-    with push_blocked and leave blocked alone.
+    blocked holds one mask per stack level: it starts as [0], a pop drops
+    its top and a push appends one.  For a pattern of length <= 4,
+    blocked[d] is the mask of the values whose push onto stack[:d] is
+    illegal, and a push of c appends blocked[-1] with the values that c
+    would start to block, so each push test is one bit.  Longer patterns
+    test each push with push_blocked, and their masks stay 0.
     """
     if len(forbidden) > 4:
 
-        def step(v: int, stack: list[int], blocked: list[int], emit: Emit) -> bool:
-            while stack and push_blocked(v, stack, forbidden):
-                if emit(stack.pop()) is False:
-                    return False
-            stack.append(v)
-            return True
+        def land(v: int, stack: list[int], blocked: list[int]) -> int:
+            d = len(stack)
+            while d and push_blocked(v, stack[:d], forbidden):
+                d -= 1
+            return d
 
-        return step
+        def push(v: int, stack: list[int], blocked: list[int]) -> None:
+            blocked.append(0)
+            stack.append(v)
+
+        return land, push
 
     grow = _blocked_by(forbidden, n)
 
-    def step(v: int, stack: list[int], blocked: list[int], emit: Emit) -> bool:
-        while blocked[-1] >> v & 1:
-            blocked.pop()
-            if emit(stack.pop()) is False:
-                return False
+    def land(v: int, stack: list[int], blocked: list[int]) -> int:
+        d = len(stack)
+        while blocked[d] >> v & 1:
+            d -= 1
+        return d
+
+    def push(v: int, stack: list[int], blocked: list[int]) -> None:
         blocked.append(blocked[-1] | grow(v, stack))
         stack.append(v)
-        return True
 
-    return step
+    return land, push
 
 
 def _pass(
@@ -189,7 +197,7 @@ def _pass(
     Otherwise, with `watch`, each output value is fed to the 231 watcher and
     None is returned at the first occurrence, since the rest of the pass only
     appends."""
-    step = greedy_step(forbidden, len(perm))
+    land, push = greedy_step(forbidden, len(perm))
     stack: list[int] = []
     blocked = [0]
     out: list[int] = []
@@ -211,8 +219,12 @@ def _pass(
             return ceiling >= 0
 
     for v in perm:
-        if not step(v, stack, blocked, emit):
-            return None
+        d = land(v, stack, blocked)
+        while len(stack) > d:
+            blocked.pop()
+            if emit(stack.pop()) is False:
+                return None
+        push(v, stack, blocked)
         if events is not None:
             events.append(TraceEvent("push", v))
     while stack:  # end of input: drain

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stacksort import enumeration
 from stacksort.enumeration import (
     catalan,
     count_sortable,
@@ -9,6 +12,7 @@ from stacksort.enumeration import (
     fertility,
     gamma_decomposition_123,
     machine_outputs,
+    sortable_pairs,
     sortable_permutations,
     sorted_profile,
 )
@@ -105,7 +109,7 @@ def test_fertility_examples():
 
 @pytest.mark.parametrize("forbidden", [(2, 1), (1, 2, 3), (2, 3, 1), (2, 1, 4, 3)])
 def test_fertility_matches_full_scan(forbidden):
-    for n in range(1, 6):
+    for n in range(1, 7):
         scan = {}
         for p in all_perms(n):
             out = naive_stack_pass(forbidden, p)
@@ -114,17 +118,64 @@ def test_fertility_matches_full_scan(forbidden):
             assert fertility(forbidden, gamma) == scan.get(gamma, 0)
 
 
+def _naive_pairs(n, forbidden):
+    """(input, naive first-pass output) for every input, lexicographic, and
+    the sortable ones among them."""
+    passes = [(p, naive_stack_pass(forbidden, p)) for p in all_perms(n)]
+    return passes, [pair for pair in passes if sorts_to_identity(forbidden, pair[0])]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_machine_outputs_match_naive_pass(k):
-    # the walker runs the same greedy step as the pass, one node at a time
+    # the walker runs the same greedy step as the pass, one node at a time,
+    # and the sortable walk keeps exactly the sortable leaves, in order
     for forbidden in all_perms(k):
         for n in range(7):
-            assert list(machine_outputs(n, forbidden)) == [
-                (p, naive_stack_pass(forbidden, p)) for p in all_perms(n)
-            ]
-            assert count_sortable(n, forbidden) == sum(
-                sorts_to_identity(forbidden, p) for p in all_perms(n)
-            )
+            passes, sortables = _naive_pairs(n, forbidden)
+            assert list(machine_outputs(n, forbidden)) == passes
+            assert list(sortable_pairs(n, forbidden)) == sortables
+
+
+@pytest.mark.parametrize(
+    "forbidden", [(5, 4, 3, 1, 2), (1, 3, 2, 5, 4), (2, 3, 5, 4, 1)], ids=["54312", "13254", "23541"]
+)
+def test_walks_of_a_length_5_pattern_match_naive_pass(forbidden):
+    # for a pattern of length 5 the blocked-value masks stay 0, so the walk
+    # must land each child by the same pinned push test as the pass
+    for n in range(7):
+        passes, sortables = _naive_pairs(n, forbidden)
+        assert list(machine_outputs(n, forbidden)) == passes
+        assert list(sortable_pairs(n, forbidden)) == sortables
+        preimages = Counter(out for _, out in passes)
+        for gamma in all_perms(n):
+            assert fertility(forbidden, gamma) == preimages[gamma]
+
+
+@pytest.mark.parametrize(
+    "forbidden, count, bound",
+    [((2, 1, 3), 6626, 35_000), ((2, 3, 1), 13934, 65_000)],
+    ids=["213", "231"],
+)
+def test_sortable_walk_cuts_a_branch_before_its_push(monkeypatch, forbidden, count, bound):
+    # A child whose committed output (out, then the stack read top down)
+    # contains 231 is cut before it is pushed.  A walk that cuts only on
+    # emitted values, after the push, pushes 102 944 and 103 960 times.
+    pushes = 0
+    real = enumeration.greedy_step
+
+    def counting(forbidden, n):
+        land, push = real(forbidden, n)
+
+        def counted(v, stack, blocked):
+            nonlocal pushes
+            pushes += 1
+            push(v, stack, blocked)
+
+        return land, counted
+
+    monkeypatch.setattr(enumeration, "greedy_step", counting)
+    assert count_sortable(8, forbidden) == count
+    assert 0 < pushes <= bound
 
 
 def test_fertility_of_231_avoiding_outputs_equals_profile_entry():

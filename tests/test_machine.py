@@ -217,11 +217,12 @@ def test_blocked_masks_match_whole_content_check(forbidden, values):
     for c in values:
         if not backtrack_contains((c,) + tuple(reversed(stack)), forbidden):
             stack.append(c)
-    step = greedy_step(forbidden, len(values))
-    built, blocked, popped = [], [0], []
+    land, push = greedy_step(forbidden, len(values))
+    built, blocked = [], [0]
     for c in stack:
-        step(c, built, blocked, popped.append)
-    assert built == stack and not popped and len(blocked) == len(stack) + 1
+        assert land(c, built, blocked) == len(built)
+        push(c, built, blocked)
+    assert built == stack and len(blocked) == len(stack) + 1
     for d, mask in enumerate(blocked):
         below = tuple(reversed(stack[:d]))
         for v in set(values) - set(stack[:d]):
