@@ -4,7 +4,9 @@ The three families at each length n: inputs the 312-machine sorts, Fishburn
 permutations avoiding 3412, and ascent sequences avoiding the word pattern
 201.  Their cardinalities agree as far as exhaustive search reaches; the
 explorer also tabulates one statistic pair per family and compares the joint
-distributions, reporting (not asserting) whether they coincide.
+distributions, reporting (not asserting) whether they coincide.  The first
+two families are prefix-closed and each is listed by one pruned walk of the
+prefix tree, `enumeration.prefix_walk`.
 
 Statistic conventions for ascent sequences are not forced by anything, so
 the right-to-left minima counter takes a strict/weak knob; reports always
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .bivincular import FISHBURN_PATTERN, contains_bivincular
-from .enumeration import sortable_permutations
-from .perms import Perm, all_perms, contains, match
+from .enumeration import prefix_walk, sortable_permutations
+from .machine import check_forbidden
+from .perms import Perm, all_perms, match
 
 Word = tuple[int, ...]
 
@@ -103,17 +106,38 @@ def seq_rl_minima(seq: Sequence[int], strict: bool = True) -> int:
 
 
 def fishburn_permutations(n: int) -> Iterator[Perm]:
-    """Permutations of length n avoiding the Fishburn bivincular pattern."""
+    """Permutations of length n avoiding the Fishburn bivincular pattern, by
+    a scan of all n! permutations: the side of `CONJ fishburn-def` that is
+    independent of fishburn_avoiding's walk."""
     for p in all_perms(n):
         if not contains_bivincular(p, FISHBURN_PATTERN):
             yield p
 
 
+def _fishburn_child(v: int, d: int, prefix: list[int], cut: int) -> int | None:
+    """Prune hook of fishburn_avoiding: keep v after prefix (the stack, which
+    never pops) unless it ends an occurrence of the classical pattern (v
+    would pop) or of the Fishburn pattern (bit v of cut is set)."""
+    if d < len(prefix) or cut >> v & 1:
+        return None
+    if prefix and v > prefix[-1]:
+        # v climbs from u = prefix[-1]: u - 1 anywhere later ends a Fishburn
+        # occurrence (u, v, u - 1)
+        return cut | 1 << prefix[-1] - 1
+    return cut
+
+
 def fishburn_avoiding(n: int, classical: Perm) -> Iterator[Perm]:
-    """Fishburn permutations of length n also avoiding a classical pattern."""
-    for p in fishburn_permutations(n):
-        if not contains(p, classical):
-            yield p
+    """Fishburn permutations of length n also avoiding a classical pattern
+    of length >= 2 (ValueError otherwise), in lexicographic order.
+
+    Both conditions are closed under prefixes, so this is one pruned walk of
+    the prefix tree (`enumeration.prefix_walk`) on the machine of the
+    reversed pattern: v followed by the prefix read backwards starts an
+    occurrence of it exactly when prefix + v ends an occurrence of the
+    classical pattern, and that is exactly when v would pop."""
+    forbidden = check_forbidden(classical, n)[::-1]
+    return (p for p, _ in prefix_walk(forbidden, n, _fishburn_child, 0))
 
 
 KINDS = ("sort312", "fishburn3412", "ascent201")

@@ -1,13 +1,17 @@
 """Exhaustive enumeration of sortable inputs, sorted outputs and fertilities.
 
-Every enumerator is one walk of the prefix tree of inputs.  The greedy pass
+Every enumerator is one walk of the prefix tree of inputs, `prefix_walk`:
+one loop over an explicit list of frames, with no recursion, so the walk's
+depth is not bounded by the interpreter's recursion limit.  The greedy pass
 is deterministic, so the machine state after consuming a prefix is the same
 for every completion.  For each child v of a tree node the walker reads the
 depth d at which v lands from `machine.greedy_step` (for patterns of length
 2 to 4, a few bit tests of the node's blocked-value masks) and asks a prune
 hook whether to take the child, before any copy or push.  Only a kept child
 gets its slice of the node's stack and masks and the push of v; its output
-grows by the popped entries stack[d:], top first.
+grows by the popped entries stack[d:], top first.  A leaf is landed and
+judged but never pushed, so a full walk pushes once per node of depth
+1..n - 1.
 
 The stack is last-in first-out, so a node's committed sequence, its output
 followed by its stack read top down, is a subsequence of the output of every
@@ -21,9 +25,11 @@ sequence:
   subsequence of the rest of gamma;
 - all first-pass outputs: never cut.
 
-A leaf is then kept without a further check.  Leaves come out lazily in
+A kept leaf needs no further check.  Leaves come out lazily in
 lexicographic input order.  Counts and profiles are sums over one whole walk
-of `sortable_pairs`, run serially in the calling process.
+of `sortable_pairs`, run serially in the calling process.  The walk is not
+tied to the machine's own questions: `conjectures.fishburn_avoiding` lists
+a prefix-closed family by the same walk with its own hook.
 """
 
 from __future__ import annotations
@@ -47,35 +53,55 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[Pair]:
+def prefix_walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[Pair]:
     """Yield (input, first-pass output) for every input of length n that the
-    hook keeps, in lexicographic input order."""
+    hook keeps, in lexicographic input order.
 
+    One loop, no recursion.  `frames` holds one saved frame per node above
+    the current one: (free values, stack, blocked masks, out, prefix, hook
+    state, index of its next child).  A kept child saves its parent and
+    becomes the current node; a node out of children resumes its parent.  A
+    leaf, the last free value, is landed and judged but never pushed: its
+    output is out, the popped entries top first, v, then stack[:d] read top
+    down."""
     land, push = greedy_step(forbidden, n)
-
-    def rec(
-        free: tuple[int, ...],
-        stack: list[int],
-        blocked: list[int],
-        out: Perm,
-        prefix: Perm,
-        state: object,
-    ) -> Iterator[Pair]:
-        if not free:
-            yield prefix, out + tuple(reversed(stack))
-            return
-        top = len(stack)
-        for i, v in enumerate(free):
+    if not n:
+        yield (), ()
+        return
+    frames: list[tuple] = []
+    free, stack, blocked = tuple(range(1, n + 1)), [], [0]
+    out: Perm = ()
+    prefix: Perm = ()
+    i = 0
+    while True:
+        if len(free) == 1:  # the one child is a leaf
+            v = free[0]
+            d = land(v, stack, blocked)
+            if hook(v, d, stack, state) is not None:
+                tail = stack[::-1]
+                tail.insert(len(stack) - d, v)
+                yield prefix + (v,), out + tuple(tail)
+            i = 1  # done: resume the parent
+        while i < len(free):
+            v = free[i]
+            i += 1
             d = land(v, stack, blocked)
             child = hook(v, d, stack, state)
             if child is not None:
-                s, b = stack[:d], blocked[: d + 1]
-                push(v, s, b)
-                rest = free[:i] + free[i + 1 :]
-                grown = out + tuple(stack[d:])[::-1] if d < top else out
-                yield from rec(rest, s, b, grown, prefix + (v,), child)
-
-    return rec(tuple(range(1, n + 1)), [], [0], (), (), state)
+                frames.append((free, stack, blocked, out, prefix, state, i))
+                if d < len(stack):  # stack[d:] leaves, top first
+                    out += tuple(stack[d:])[::-1]
+                stack, blocked = stack[:d], blocked[: d + 1]
+                push(v, stack, blocked)
+                free = free[: i - 1] + free[i:]
+                prefix += (v,)
+                state = child
+                i = 0
+                break
+        else:
+            if not frames:
+                return
+            free, stack, blocked, out, prefix, state, i = frames.pop()
 
 
 def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
@@ -120,7 +146,7 @@ def _never(v: int, d: int, stack: list[int], state: object) -> object:
 def sortable_pairs(n: int, forbidden: Perm) -> Iterator[Pair]:
     """(input, first-pass output) for every sortable input of length n,
     lexicographic input order: the sortable twin of machine_outputs."""
-    return _walk(check_forbidden(forbidden, n), n, _no_231, (0, 0, [(0, n + 1, 0)]))
+    return prefix_walk(check_forbidden(forbidden, n), n, _no_231, (0, 0, [(0, n + 1, 0)]))
 
 
 def sortable_permutations(n: int, forbidden: Perm) -> Iterator[Perm]:
@@ -131,7 +157,7 @@ def sortable_permutations(n: int, forbidden: Perm) -> Iterator[Perm]:
 def machine_outputs(n: int, forbidden: Perm) -> Iterator[Pair]:
     """(input, first-pass output) for every permutation of length n,
     lexicographic input order."""
-    return _walk(check_forbidden(forbidden, n), n, _never, ())
+    return prefix_walk(check_forbidden(forbidden, n), n, _never, ())
 
 
 def count_sortable(n: int, forbidden: Perm) -> int:
@@ -184,7 +210,7 @@ def fertility(forbidden: Perm, gamma: Perm) -> int:
             return None
         return end
 
-    return sum(1 for _ in _walk(forbidden, len(target), follows_gamma, 0))
+    return sum(1 for _ in prefix_walk(forbidden, len(target), follows_gamma, 0))
 
 
 def count_sortable_123_formula(n: int) -> int:

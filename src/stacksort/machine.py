@@ -51,7 +51,8 @@ MachineTrace = tuple[TraceEvent, ...]
 def push_blocked(v: int, stack: Sequence[int], forbidden: Perm) -> bool:
     """Would pushing v (on top of stack, listed bottom to top) complete an
     occurrence of the forbidden pattern in the content read top to bottom?
-    The push test for patterns of length 5 or more."""
+    The push test for patterns of length 5 or more; greedy_step's land runs
+    the same search on one content list for every depth it tries."""
     if len(stack) < len(forbidden) - 1:
         return False
     return next(match([v, *reversed(stack)], forbidden, _PINNED_START), None) is not None
@@ -156,14 +157,21 @@ def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
     blocked[d] is the mask of the values whose push onto stack[:d] is
     illegal, and a push of c appends blocked[-1] with the values that c
     would start to block, so each push test is one bit.  Longer patterns
-    test each push with push_blocked, and their masks stay 0.
+    run push_blocked's pinned search on one content list per landing, and
+    their masks stay 0.
     """
-    if len(forbidden) > 4:
+    k = len(forbidden)
+    if k > 4:
 
         def land(v: int, stack: list[int], blocked: list[int]) -> int:
+            # push_blocked on stack[:d] for d = len(stack), len(stack) - 1,
+            # ...: one content list that loses its top entry per pop, and no
+            # search once fewer than k - 1 entries are left
             d = len(stack)
-            while d and push_blocked(v, stack[:d], forbidden):
+            content = [v, *reversed(stack)]
+            while d >= k - 1 and next(match(content, forbidden, _PINNED_START), None):
                 d -= 1
+                del content[1]
             return d
 
         def push(v: int, stack: list[int], blocked: list[int]) -> None:

@@ -79,6 +79,18 @@ def brute_avoiders(n, basis):
     )
 
 
+def brute_fishburn_avoiders(n, tau):
+    """The permutations of length n, lexicographic, that avoid tau and the
+    Fishburn pattern: 231 whose first two entries are adjacent in position
+    and whose two smallest values are consecutive."""
+    return [
+        p
+        for p in itertools.permutations(range(1, n + 1))
+        if next(brute_occurrences(p, (2, 3, 1), {1}, {1}), None) is None
+        and not brute_contains(p, tau)
+    ]
+
+
 def reverse_bivincular(bp):
     """The left-right mirror of a bivincular pattern: the pattern reversed,
     position adjacencies flipped to k - x, value adjacencies untouched, so

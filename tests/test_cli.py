@@ -304,6 +304,12 @@ GOLDEN = [
         "16b3df59281b6c7382e2818831d9b3921699e69240f267256bebda771315158b",
     ),
     (
+        # the only report that walks the Fishburn-3412 family at n = 8
+        ["explore", "--max-n", "8"],
+        0,
+        "a2f98f05d1b300e3e91f48bf39ba398fbb1dc5a47437b63c2c1715dfa20fa155",
+    ),
+    (
         ["count", "sortable", "--sigma", "2134", "--max-n", "7"],
         0,
         "1388df96631f99882a0e8dc449bcdbde3ca941d332651bc11fc65543ce12e396",
@@ -357,6 +363,7 @@ GOLDEN = [
         "verify-3-7",
         "verify-theorems-4-6",
         "verify-conjectures-8",
+        "explore-8",
         "count-sortable-2134",
         "count-sorted-4123",
         "fertility-123",

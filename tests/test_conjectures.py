@@ -15,6 +15,7 @@ from stacksort.conjectures import (
     word_contains,
     zeros,
 )
+from oracles import brute_fishburn_avoiders
 from stacksort.enumeration import count_sortable
 from stacksort.perms import all_perms, identity
 
@@ -109,6 +110,23 @@ def test_fishburn_avoiding_examples():
     assert sum(1 for _ in fishburn_avoiding(3, (3, 4, 1, 2))) == 5
     assert sum(1 for _ in fishburn_avoiding(6, (3, 4, 1, 2))) == 201
     assert list(fishburn_avoiding(1, (3, 4, 1, 2))) == [(1,)]
+
+
+@pytest.mark.parametrize(
+    "tau, max_n",
+    [(tau, 8 if tau == (3, 4, 1, 2) else 6) for k in (2, 3, 4) for tau in all_perms(k)]
+    + [((5, 4, 3, 1, 2), 6), ((2, 3, 5, 4, 1), 6)],
+    ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else str(x),
+)
+def test_fishburn_avoiding_walk_matches_brute_filter(tau, max_n):
+    for n in range(max_n + 1):
+        assert list(fishburn_avoiding(n, tau)) == brute_fishburn_avoiders(n, tau)
+
+
+def test_fishburn_avoiding_rejects_a_pattern_shorter_than_2():
+    for tau in ((1,), ()):
+        with pytest.raises(ValueError):
+            fishburn_avoiding(3, tau)
 
 
 def test_fishburn_3412_membership_at_length_4():

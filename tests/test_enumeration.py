@@ -1,3 +1,5 @@
+import math
+import sys
 from collections import Counter
 
 import pytest
@@ -17,7 +19,8 @@ from stacksort.enumeration import (
     sorted_profile,
 )
 from oracles import naive_stack_pass, sorts_to_identity
-from stacksort.perms import all_perms, contains
+from stacksort.machine import stack_pass
+from stacksort.perms import all_perms, contains, identity
 
 SAMPLE_PATTERNS = [
     (2, 1),
@@ -151,31 +154,56 @@ def test_walks_of_a_length_5_pattern_match_naive_pass(forbidden):
             assert fertility(forbidden, gamma) == preimages[gamma]
 
 
-@pytest.mark.parametrize(
-    "forbidden, count, bound",
-    [((2, 1, 3), 6626, 35_000), ((2, 3, 1), 13934, 65_000)],
-    ids=["213", "231"],
-)
-def test_sortable_walk_cuts_a_branch_before_its_push(monkeypatch, forbidden, count, bound):
-    # A child whose committed output (out, then the stack read top down)
-    # contains 231 is cut before it is pushed.  A walk that cuts only on
-    # emitted values, after the push, pushes 102 944 and 103 960 times.
-    pushes = 0
+def _count_pushes(monkeypatch):
+    """Count the walk's pushes in the returned one-entry list."""
+    pushes = [0]
     real = enumeration.greedy_step
 
     def counting(forbidden, n):
         land, push = real(forbidden, n)
 
         def counted(v, stack, blocked):
-            nonlocal pushes
-            pushes += 1
+            pushes[0] += 1
             push(v, stack, blocked)
 
         return land, counted
 
     monkeypatch.setattr(enumeration, "greedy_step", counting)
+    return pushes
+
+
+@pytest.mark.parametrize(
+    "forbidden, count, bound",
+    [((2, 1, 3), 6626, 25_000), ((2, 3, 1), 13934, 45_000)],
+    ids=["213", "231"],
+)
+def test_sortable_walk_cuts_a_branch_before_its_push(monkeypatch, forbidden, count, bound):
+    # A child whose committed output (out, then the stack read top down)
+    # contains 231 is cut before it is pushed, and a leaf is never pushed:
+    # 23 036 and 42 162 pushes.  A walk that cuts only on emitted values,
+    # after the push, pushes 102 944 and 103 960 times.
+    pushes = _count_pushes(monkeypatch)
     assert count_sortable(8, forbidden) == count
-    assert 0 < pushes <= bound
+    assert 0 < pushes[0] <= bound
+
+
+@pytest.mark.parametrize(
+    "forbidden", [(2, 3, 1), (2, 1, 4, 3), (5, 4, 3, 1, 2)], ids=["231", "2143", "54312"]
+)
+def test_full_walk_pushes_once_per_inner_node(monkeypatch, forbidden):
+    # one push per node of depth 1..6, 7 + 42 + ... + 5040, and none per
+    # leaf; pushing every leaf too makes 13 699
+    pushes = _count_pushes(monkeypatch)
+    assert sum(1 for _ in machine_outputs(7, forbidden)) == 5040
+    assert pushes[0] == sum(math.perm(7, j) for j in range(1, 7)) == 8659
+
+
+def test_walk_does_not_recurse():
+    # one frame per tree level would pass the default recursion limit
+    assert sys.getrecursionlimit() < 1200
+    p = identity(1200)
+    assert next(machine_outputs(1200, (2, 1, 3))) == (p, stack_pass((2, 1, 3), p))
+    assert next(sortable_pairs(1200, (2, 3, 1)))[0] == p
 
 
 def test_fertility_of_231_avoiding_outputs_equals_profile_entry():
