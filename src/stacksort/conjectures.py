@@ -53,22 +53,25 @@ def stat(p: Perm, which: str) -> int:
 
 
 def ascent_sequences(n: int) -> Iterator[Word]:
-    """All ascent sequences of length n: first letter 0, each next letter at
-    most one more than the number of ascents so far."""
+    """All ascent sequences of length n, in lexicographic order: first letter
+    0, each next letter at most one more than the number of ascents so far.
+    One loop, no recursion: the next sequence raises the rightmost letter
+    that may grow and resets the letters after it to 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def rec(prefix: list[int], ascents: int) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield tuple(prefix)
+    seq = [0] * n
+    ascents = [0] * n  # ascents[i]: the number of ascents in seq[: i + 1]
+    while True:
+        yield tuple(seq)
+        i = n - 1
+        while i and seq[i] > ascents[i - 1]:
+            i -= 1
+        if not i:
             return
-        last = prefix[-1]
-        for letter in range(ascents + 2):
-            prefix.append(letter)
-            yield from rec(prefix, ascents + (1 if letter > last else 0))
-            prefix.pop()
-
-    yield from rec([0], 0)
+        seq[i] += 1
+        ascents[i] = ascents[i - 1] + (seq[i] > seq[i - 1])
+        seq[i + 1 :] = [0] * (n - 1 - i)
+        ascents[i + 1 :] = [ascents[i]] * (n - 1 - i)
 
 
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:

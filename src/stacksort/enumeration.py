@@ -5,10 +5,10 @@ one loop over an explicit list of frames, with no recursion, so the walk's
 depth is not bounded by the interpreter's recursion limit.  The greedy pass
 is deterministic, so the machine state after consuming a prefix is the same
 for every completion.  For each child v of a tree node the walker reads the
-depth d at which v lands from `machine.greedy_step` (for patterns of length
-2 to 4, a few bit tests of the node's blocked-value masks) and asks a prune
-hook whether to take the child, before any copy or push.  Only a kept child
-gets its slice of the node's stack and masks and the push of v; its output
+depth d at which v lands from `machine.greedy_step` (a few bit tests of the
+node's blocked-value masks) and asks a prune hook whether to take the
+child, before any copy or push.  Only a kept child gets its slice of the
+node's stack and masks and the push of v; its output
 grows by the popped entries stack[d:], top first.  A leaf is landed and
 judged but never pushed, so a full walk pushes once per node of depth
 1..n - 1.

@@ -16,27 +16,25 @@ prefix-tree walker of `enumeration` reads the same landing depth for every
 child of a tree node and pushes only for the children it keeps.
 
 Since the content is legal before every push, a push can only be illegal if
-the new element is the *first* (topmost) entry of an occurrence.  For
-patterns of length 2 to 4 each stack level d keeps a mask of the values whose
-push onto the bottom d entries would start one: a push test reads one bit, a
-pop drops the top level, and a push of c adds to the level below the values
-that c would become the second entry for, found in one bottom-up scan of the
-entries below c (`_blocked_by`).  Longer patterns test each push with
-`perms.match` on the candidate followed by the content, top to bottom, with
-the first entry pinned to the candidate (`push_blocked`).  The public
-functions check the forbidden pattern and the input permutation once per
-call and raise ValueError on anything else.
+the new element is the *first* (topmost) entry of an occurrence.  So each
+stack level d keeps a mask of the values whose push onto the bottom d
+entries would start one, for a forbidden pattern of any length: a push test
+reads one bit, a pop drops the top level, and a push of c adds to the level
+below the values that c would become the second entry for, found by scans
+of the entries below c (`_blocked_by`).  The public functions check the
+forbidden pattern and the input permutation once per call and raise
+ValueError on anything else.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .perms import Perm, as_perm, match, watch_231
+from .perms import Perm, as_perm, watch_231
 
 PATTERN_21: Perm = (2, 1)
-_PINNED_START = frozenset({0})  # occurrences start at the candidate
 
 
 @dataclass(frozen=True)
@@ -48,83 +46,96 @@ class TraceEvent:
 MachineTrace = tuple[TraceEvent, ...]
 
 
-def push_blocked(v: int, stack: Sequence[int], forbidden: Perm) -> bool:
-    """Would pushing v (on top of stack, listed bottom to top) complete an
-    occurrence of the forbidden pattern in the content read top to bottom?
-    The push test for patterns of length 5 or more; greedy_step's land runs
-    the same search on one content list for every depth it tries."""
-    if len(stack) < len(forbidden) - 1:
-        return False
-    return next(match([v, *reversed(stack)], forbidden, _PINNED_START), None) is not None
+@functools.lru_cache(maxsize=256)
+def _windows(forbidden: Perm) -> tuple[tuple[int, int, int], ...]:
+    """(rank, ranks of the window's ends) of each occurrence entry e3, ..., ek."""
+    placed, windows = [0, forbidden[1], len(forbidden) + 1], []
+    for s in forbidden[2:]:
+        windows.append((s, max(r for r in placed if r < s), min(r for r in placed if r > s)))
+        placed.append(s)
+    return tuple(windows)
 
 
 def _blocked_by(forbidden: Perm, n: int) -> Callable[[int, Sequence[int]], int]:
-    """For a pattern of length 2, 3 or 4 and values 1..n: the function
+    """For a pattern of length k >= 2 and values 1..n: the function
     (c, stack) -> the mask of the values v whose push onto stack + [c] would
-    complete an occurrence (v, c, ...) of the pattern, read top to bottom.
+    complete an occurrence (v, c, e3, ..., ek) of the pattern, read top to
+    bottom.
 
     x[r] is the value of the occurrence entry of rank r in the pattern, with
     sentinels x[0] = 0 and x[k + 1] = n + 1, so the values v may take lie
-    strictly between x[s1 - 1] and x[s1 + 1].  Below c, each entry a on the
-    right side of c adds one such interval; for k = 4 its last entry z is the
-    extremal value in z's window among the entries below a: the smallest when
-    z bounds v from below, the largest otherwise, since every other z gives a
-    subinterval.  For k = 3 only the extremal a matters, by the same argument.
+    strictly between x[s1 - 1] and x[s1 + 1].  Each later entry lies in its
+    window (`_windows`), strictly between the entries placed before it of
+    the nearest ranks below and above its own.  The middle entries e3, ...,
+    e(k-1) each loop over the entries below the one before, nested by
+    recursion over pattern positions (at most k deep); the innermost loop
+    keeps `seen`, the mask of the values below its entry, and takes ek as
+    the extremal value of `seen` in ek's window: the smallest when ek bounds
+    v from below, the largest otherwise, since every other ek gives a
+    subinterval.  For k = 3, ek is the extremal entry of the whole stack in
+    its window; for k = 2, v's interval comes from c alone.  A push costs
+    O(depth^max(1, k - 3)) steps.
     """
     k = len(forbidden)
     s1, s2 = forbidden[0], forbidden[1]
-    lo_rank, hi_rank = s1 - 1, s1 + 1
+    v_lo, v_hi = s1 - 1, s1 + 1  # x[v_lo] < x[v_hi] in every occurrence
     x = [0] * (k + 2)
     x[k + 1] = n + 1
-
-    def interval() -> int:
-        lo, hi = x[lo_rank], x[hi_rank]
-        return (1 << hi) - (2 << lo) if hi > lo + 1 else 0
-
     if k == 2:
 
         def grow(c: int, stack: Sequence[int]) -> int:
             x[s2] = c
-            return interval()
+            return (1 << x[v_hi]) - (2 << x[v_lo])
 
         return grow
 
-    s3 = forbidden[2]
-    a_up = s3 > s2  # a is above c in value
+    windows = _windows(forbidden)
+    sz, z_lo, z_hi = windows[-1]
+    z_low = sz < s1  # ek bounds v from below: take the smallest
+
     if k == 3:
-        pick = min if s3 < s1 else max
+        pick = min if z_low else max
 
         def grow(c: int, stack: Sequence[int]) -> int:
-            valid = [a for a in stack if a > c] if a_up else [a for a in stack if a < c]
+            valid = [a for a in stack if a > c] if sz > s2 else [a for a in stack if a < c]
             if not valid:
                 return 0
-            x[s2], x[s3] = c, pick(valid)
-            return interval()
+            x[s2], x[sz] = c, pick(valid)
+            return (1 << x[v_hi]) - (2 << x[v_lo])
 
         return grow
 
-    s4 = forbidden[3]
-    z_lo_rank = max(r for r in (0, s2, s3) if r < s4)  # z's window
-    z_hi_rank = min(r for r in (s2, s3, k + 1) if r > s4)
-    z_low = s4 < s1  # z bounds v from below: take the smallest
+    def place(entries: Sequence[int], j: int) -> int:
+        # the intervals of v over every choice of e(j), ..., ek in entries
+        s, lo_rank, hi_rank = windows[j - 3]
+        lo, hi = x[lo_rank], x[hi_rank]
+        mask = 0
+        if j < k - 1:
+            for i in range(k - j, len(entries)):  # room below for the rest
+                a = entries[i]
+                if lo < a < hi:
+                    x[s] = a
+                    mask |= place(entries[:i], j + 1)
+            return mask
+        seen = 0  # e(k-1) from entries, ek the extremal value below it
+        for a in entries:
+            if seen and lo < a < hi:
+                x[s] = a
+                lo_z, hi_z = x[z_lo], x[z_hi]
+                if z_low:
+                    m = seen >> lo_z + 1
+                    z = lo_z + (m & -m).bit_length()
+                else:
+                    z = (seen & (1 << hi_z) - 1).bit_length() - 1
+                if lo_z < z < hi_z:
+                    x[sz] = z
+                    mask |= (1 << x[v_hi]) - (2 << x[v_lo])
+            seen |= 1 << a
+        return mask
 
     def grow(c: int, stack: Sequence[int]) -> int:
         x[s2] = c
-        mask = seen = 0  # seen: the values of the entries below a
-        for a in stack:
-            if seen and (a > c) == a_up:
-                x[s3] = a
-                lo, hi = x[z_lo_rank], x[z_hi_rank]
-                if z_low:
-                    m = seen >> lo + 1
-                    z = lo + (m & -m).bit_length()
-                else:
-                    z = (seen & (1 << hi) - 1).bit_length() - 1
-                if lo < z < hi:
-                    x[s4] = z
-                    mask |= interval()
-            seen |= 1 << a
-        return mask
+        return place(stack, 3)
 
     return grow
 
@@ -153,33 +164,11 @@ def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
     stack[:d] and blocked[:d + 1].
 
     blocked holds one mask per stack level: it starts as [0], a pop drops
-    its top and a push appends one.  For a pattern of length <= 4,
-    blocked[d] is the mask of the values whose push onto stack[:d] is
-    illegal, and a push of c appends blocked[-1] with the values that c
-    would start to block, so each push test is one bit.  Longer patterns
-    run push_blocked's pinned search on one content list per landing, and
-    their masks stay 0.
+    its top and a push appends one.  blocked[d] is the mask of the values
+    whose push onto stack[:d] is illegal, and a push of c appends
+    blocked[-1] with the values that c would start to block, so each push
+    test is one bit.
     """
-    k = len(forbidden)
-    if k > 4:
-
-        def land(v: int, stack: list[int], blocked: list[int]) -> int:
-            # push_blocked on stack[:d] for d = len(stack), len(stack) - 1,
-            # ...: one content list that loses its top entry per pop, and no
-            # search once fewer than k - 1 entries are left
-            d = len(stack)
-            content = [v, *reversed(stack)]
-            while d >= k - 1 and next(match(content, forbidden, _PINNED_START), None):
-                d -= 1
-                del content[1]
-            return d
-
-        def push(v: int, stack: list[int], blocked: list[int]) -> None:
-            blocked.append(0)
-            stack.append(v)
-
-        return land, push
-
     grow = _blocked_by(forbidden, n)
 
     def land(v: int, stack: list[int], blocked: list[int]) -> int:

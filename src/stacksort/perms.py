@@ -9,13 +9,13 @@ compact digit string ("2413") accepted on input only when n <= 9.  Output
 always uses the separated form.
 
 `match` is the library's one pattern search; containment, occurrence
-listing, the stack's push test, bivincular patterns and word patterns all
-run on it.  It handles words (repeated values) and position ties, accepts a
-candidate entry by one window test against the chosen entries just below,
-equal to and just above it in the pattern, and keeps its backtracking state
-in lists rather than on the call stack, so no input length reaches the
-recursion limit.  `contains` answers 231, 132 and patterns of length at most
-2 with O(n) scans instead.
+listing, bivincular patterns and word patterns all run on it (the stack's
+push test reads the blocked-value masks of `machine` instead).  It handles
+words (repeated values) and position ties, accepts a candidate entry by one
+window test against the chosen entries just below, equal to and just above
+it in the pattern, and keeps its backtracking state in lists rather than on
+the call stack, so no input length reaches the recursion limit.  `contains`
+answers 231, 132 and patterns of length at most 2 with O(n) scans instead.
 """
 
 from __future__ import annotations

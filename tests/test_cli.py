@@ -346,6 +346,12 @@ GOLDEN = [
         0,
         "a48eafa253331a315d5386709dbc75ede5e2db0507ef1cd9825319a3c8b9fc07",
     ),
+    (
+        # the one report that walks the machines of patterns of length 5
+        ["verify", "--max-sigma-len", "5", "--max-n", "6"],
+        0,
+        "ea65b40ebb0d28605cf62ae8d2617aedb151601fc81b9655d0f405582e8b4c3d",
+    ),
     pytest.param(
         # the default report: 391 pass, 0 fail, 14 findings
         ["verify", "--max-sigma-len", "4", "--max-n", "8"],
@@ -371,6 +377,7 @@ GOLDEN = [
         "classify-5-csv",
         "classify-6-csv",
         "verify-4-7",
+        "verify-5-6",
         "verify-4-8",
     ],
 )

@@ -57,7 +57,16 @@ def test_ascent_sequences_basics():
         (0, 1, 2),
     }
     for n, want in enumerate(FISHBURN_NUMBERS, start=1):
-        assert sum(1 for _ in ascent_sequences(n)) == want
+        seqs = list(ascent_sequences(n))
+        assert len(seqs) == want
+        assert seqs == sorted(set(seqs))  # lexicographic, no repeats
+
+
+def test_ascent_sequences_do_not_recurse_per_entry():
+    # one frame however long the sequence, at the default recursion limit
+    first = ascent_sequences(1200)
+    assert next(first) == (0,) * 1200
+    assert next(first) == (0,) * 1199 + (1,)
 
 
 @given(st.integers(1, 7))
