@@ -53,14 +53,11 @@ def stat(p: Perm, which: str) -> int:
 
 
 def ascent_sequences(n: int) -> Iterator[Word]:
-    """All ascent sequences of length n, in lexicographic order: first letter
-    0, each next letter at most one more than the number of ascents so far.
-    One loop, no recursion: the next sequence raises the rightmost letter
-    that may grow and resets the letters after it to 0."""
+    """All ascent sequences of length n in lexicographic order: first letter
+    0, each next letter at most one more than the number of ascents so far."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    seq = [0] * n
-    ascents = [0] * n  # ascents[i]: the number of ascents in seq[: i + 1]
+    seq, ascents = [0] * n, [0] * n  # ascents[i]: the ascents in seq[: i + 1]
     while True:
         yield tuple(seq)
         i = n - 1

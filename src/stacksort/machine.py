@@ -19,17 +19,18 @@ Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence.  So each
 stack level d keeps a mask of the values whose push onto the bottom d
 entries would start one, for a forbidden pattern of any length: a push test
-reads one bit, a pop drops the top level, and a push of c adds to the level
-below the values that c would become the second entry for, found by scans
-of the entries below c (`_blocked_by`).  The public functions check the
-forbidden pattern and the input permutation once per call and raise
-ValueError on anything else.
+reads one bit, a pop drops the top level, and a push of c adds the values
+that c would become the second entry for (`_blocked_by`).  The public
+functions check the forbidden pattern and the input permutation once per
+call and raise ValueError on anything else.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Sequence
 
 from .perms import Perm, as_perm, watch_231
@@ -47,95 +48,104 @@ MachineTrace = tuple[TraceEvent, ...]
 
 
 @functools.lru_cache(maxsize=256)
-def _windows(forbidden: Perm) -> tuple[tuple[int, int, int], ...]:
-    """(rank, ranks of the window's ends) of each occurrence entry e3, ..., ek."""
-    placed, windows = [0, forbidden[1], len(forbidden) + 1], []
-    for s in forbidden[2:]:
-        windows.append((s, max(r for r in placed if r < s), min(r for r in placed if r > s)))
-        placed.append(s)
-    return tuple(windows)
+def _levels(forbidden: Perm) -> tuple[tuple, ...]:
+    """For c, e3, ..., ek in turn: (its rank s, the ranks of its window's
+    ends, then those of v's window and each later entry's once s is placed).
+    The ends are the nearest placed ranks below and above; 0, k + 1 first."""
+    k, s1 = len(forbidden), forbidden[0]
+    lows, highs = [0] * (k + 2), [k + 1] * (k + 2)
+    rows = []
+    for j, s in enumerate(forbidden[1:], 2):
+        lo, hi = lows[s], highs[s]
+        lows[s + 1 : hi] = [s] * (hi - s - 1)
+        highs[lo + 1 : s] = [s] * (s - lo - 1)
+        after = tuple(dict.fromkeys((lows[r], highs[r]) for r in forbidden[j:]))
+        rows.append((s, lo, hi, lows[s1], highs[s1], after))
+    return tuple(rows)
 
 
 def _blocked_by(forbidden: Perm, n: int) -> Callable[[int, Sequence[int]], int]:
     """For a pattern of length k >= 2 and values 1..n: the function
     (c, stack) -> the mask of the values v whose push onto stack + [c] would
-    complete an occurrence (v, c, e3, ..., ek) of the pattern, read top to
-    bottom.
+    complete an occurrence (v, c, e3, ..., ek), read top to bottom; the bits
+    of c and of the values in stack do not matter.
 
-    x[r] is the value of the occurrence entry of rank r in the pattern, with
-    sentinels x[0] = 0 and x[k + 1] = n + 1, so the values v may take lie
-    strictly between x[s1 - 1] and x[s1 + 1].  Each later entry lies in its
-    window (`_windows`), strictly between the entries placed before it of
-    the nearest ranks below and above its own.  The middle entries e3, ...,
-    e(k-1) each loop over the entries below the one before, nested by
-    recursion over pattern positions (at most k deep); the innermost loop
-    keeps `seen`, the mask of the values below its entry, and takes ek as
-    the extremal value of `seen` in ek's window: the smallest when ek bounds
-    v from below, the largest otherwise, since every other ek gives a
-    subinterval.  For k = 3, ek is the extremal entry of the whole stack in
-    its window; for k = 2, v's interval comes from c alone.  A push costs
-    O(depth^max(1, k - 3)) steps.
+    x[r] is the value of the entry of rank r (x[0] = 0, x[k + 1] = n + 1),
+    strictly inside its window (`_levels`).  e3, ..., e(k-1) are the levels
+    of a depth-first search down the stack, kept in a list of frames: a
+    level tries the entries below the one before, top down, and descends
+    from one that `fits`.  An entry next in rank to its window's upper
+    (lower) end bounds no later entry from below (above), so each value it
+    tries rules out the smaller (larger) ones deeper down.  The innermost
+    level scans up for e(k-1); ek is the extremal value below it in ek's
+    window, the smallest if ek bounds v from below, else the largest (any
+    other gives a subinterval).  For k = 3 ek comes from the whole stack,
+    for k = 2 v's interval from c.  A push costs O(depth^max(1, k - 3)).
     """
     k = len(forbidden)
     s1, s2 = forbidden[0], forbidden[1]
     v_lo, v_hi = s1 - 1, s1 + 1  # x[v_lo] < x[v_hi] in every occurrence
-    x = [0] * (k + 2)
-    x[k + 1] = n + 1
-    if k == 2:
+    x = [0] * (k + 1) + [n + 1]
+    levels = _levels(forbidden)
+    m = k - 3  # the number of middle entries
+    sz, z_lo, z_hi = levels[-1][:3]  # ek: the smallest if sz < s1, else the largest
+    s_in, in_lo, in_hi = levels[m][:3]
 
-        def grow(c: int, stack: Sequence[int]) -> int:
-            x[s2] = c
-            return (1 << x[v_hi]) - (2 << x[v_lo])
+    def ends(seen: int) -> int:  # ek from the values below e(k-1): v's interval, or 0
+        w = seen & (1 << x[z_hi]) - (2 << x[z_lo])
+        if not w:
+            return 0
+        x[sz] = (w & -w).bit_length() - 1 if sz < s1 else w.bit_length() - 1
+        return (1 << x[v_hi]) - (2 << x[v_lo])
 
-        return grow
-
-    windows = _windows(forbidden)
-    sz, z_lo, z_hi = windows[-1]
-    z_low = sz < s1  # ek bounds v from below: take the smallest
-
-    if k == 3:
-        pick = min if z_low else max
-
-        def grow(c: int, stack: Sequence[int]) -> int:
-            valid = [a for a in stack if a > c] if sz > s2 else [a for a in stack if a < c]
-            if not valid:
-                return 0
-            x[s2], x[sz] = c, pick(valid)
-            return (1 << x[v_hi]) - (2 << x[v_lo])
-
-        return grow
-
-    def place(entries: Sequence[int], j: int) -> int:
-        # the intervals of v over every choice of e(j), ..., ek in entries
-        s, lo_rank, hi_rank = windows[j - 3]
-        lo, hi = x[lo_rank], x[hi_rank]
-        mask = 0
-        if j < k - 1:
-            for i in range(k - j, len(entries)):  # room below for the rest
-                a = entries[i]
-                if lo < a < hi:
-                    x[s] = a
-                    mask |= place(entries[:i], j + 1)
-            return mask
-        seen = 0  # e(k-1) from entries, ek the extremal value below it
+    def inner(entries: Sequence[int], lo: int, hi: int) -> int:  # e(k-1) in (lo, hi)
+        mask = seen = 0
         for a in entries:
             if seen and lo < a < hi:
-                x[s] = a
-                lo_z, hi_z = x[z_lo], x[z_hi]
-                if z_low:
-                    m = seen >> lo_z + 1
-                    z = lo_z + (m & -m).bit_length()
-                else:
-                    z = (seen & (1 << hi_z) - 1).bit_length() - 1
-                if lo_z < z < hi_z:
-                    x[sz] = z
-                    mask |= (1 << x[v_hi]) - (2 << x[v_lo])
+                x[s_in] = a
+                mask |= ends(seen)
             seen |= 1 << a
         return mask
 
+    def fits(t: int, seen: int, mask: int) -> bool:  # seen: the values below level t
+        _, _, _, vlo_r, vhi_r, after = levels[t]
+        v_open = (1 << x[vhi_r]) - (2 << x[vlo_r]) & ~mask
+        return v_open != 0 and all(seen & (1 << x[hi]) - (2 << x[lo]) for lo, hi in after)
+
     def grow(c: int, stack: Sequence[int]) -> int:
         x[s2] = c
-        return place(stack, 3)
+        if m < 2:  # no level reads the prefix masks
+            if m < 0:
+                return (1 << x[v_hi]) - (2 << x[v_lo])
+            return inner(stack, x[in_lo], x[in_hi]) if m else ends(sum(map((1).__lshift__, stack)))
+        below = [0, *accumulate(map((1).__lshift__, stack), or_)]  # values of stack[:i]
+        mask = below[-1] | 1 << c
+        if not fits(0, below[-1], mask):
+            return mask
+        frames: list[tuple[int, int, int]] = []  # (index, window) of each level above
+        t, i, lo, hi = 1, len(stack), x[levels[1][1]], x[levels[1][2]]
+        while True:
+            if t == m:  # stack[:i] lies below the entry of level m - 1
+                mask |= inner(stack[:i], lo, hi)
+            else:
+                s, lo_r, hi_r, _, _, after = levels[t]
+                i -= 1
+                while i > m - t:  # room below for the levels after t
+                    if lo < stack[i] < hi:
+                        x[s] = a = stack[i]
+                        lo, hi = a if hi_r == s + 1 else lo, a if lo_r == s - 1 else hi
+                        if fits(t, below[i], mask):
+                            break
+                    i -= 1
+                if i > m - t:  # descend from stack[i]
+                    frames.append((i, lo, hi))
+                    t += 1
+                    lo, hi = x[after[0][0]], x[after[0][1]]
+                    continue
+            if not frames:
+                return mask
+            i, lo, hi = frames.pop()
+            t -= 1
 
     return grow
 
@@ -165,9 +175,9 @@ def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
 
     blocked holds one mask per stack level: it starts as [0], a pop drops
     its top and a push appends one.  blocked[d] is the mask of the values
-    whose push onto stack[:d] is illegal, and a push of c appends
-    blocked[-1] with the values that c would start to block, so each push
-    test is one bit.
+    whose push onto stack[:d] is illegal (bits of stack[:d] do not matter),
+    and a push of c appends blocked[-1] with the values that c would start
+    to block, so each push test is one bit.
     """
     grow = _blocked_by(forbidden, n)
 

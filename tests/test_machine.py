@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -221,19 +222,10 @@ def test_push_blocked_matches_whole_content_check(forbidden, values):
     )
 
 
-@given(
-    st.one_of(
-        st.sampled_from([p for k in (2, 3, 4) for p in all_perms(k)]),
-        st.integers(5, 6).flatmap(lambda k: st.permutations(tuple(range(1, k + 1))).map(tuple)),
-    ),
-    st.integers(1, 14).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
-)
-@settings(max_examples=500, deadline=None)
-def test_blocked_masks_match_whole_content_check(forbidden, values):
+def _check_blocked_masks(forbidden, values):
     # Legal content: each value that keeps the stack legal, in order.  At
     # every level d, bit v of the mask is set exactly when pushing v onto
-    # the bottom d entries would make the content contain the pattern.  For
-    # patterns of length 5 and 6 this is the check of the nested scans.
+    # the bottom d entries would make the content contain the pattern.
     stack = []
     for c in values:
         if not backtrack_contains((c,) + tuple(reversed(stack)), forbidden):
@@ -248,6 +240,33 @@ def test_blocked_masks_match_whole_content_check(forbidden, values):
         below = tuple(reversed(stack[:d]))
         for v in set(values) - set(stack[:d]):
             assert (mask >> v & 1) == backtrack_contains((v,) + below, forbidden)
+
+
+@given(
+    st.sampled_from([p for k in (2, 3, 4) for p in all_perms(k)]),
+    st.integers(1, 14).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_masks_match_whole_content_check(forbidden, values):
+    _check_blocked_masks(forbidden, values)
+
+
+@given(
+    st.integers(5, 6).flatmap(lambda k: st.permutations(tuple(range(1, k + 1))).map(tuple)),
+    st.integers(1, 14).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_masks_of_long_patterns_match_whole_content_check(forbidden, values):
+    # the check of the depth-first search over the middle entries
+    _check_blocked_masks(forbidden, values)
+
+
+def test_long_pattern_pass_does_not_recurse_per_entry():
+    # a pattern longer than the recursion limit, on a stack that fills up
+    k = sys.getrecursionlimit() + 200
+    out = stack_pass(identity(k), tuple(range(k, 0, -1)))
+    # the last push would complete the pattern itself: 2 leaves first
+    assert out == (2, 1) + tuple(range(3, k + 1))
 
 
 def test_trace_serialization_round_trip():
@@ -324,6 +343,17 @@ def test_deep_stack_pass_matches_match_based_pass(forbidden):
     inputs += [tuple(rng.sample(range(1, n + 1), n)) for n in (100, 125, 150)]
     for p in inputs + [identity(200)]:
         assert stack_pass(forbidden, p) == _match_pass(forbidden, p)
+
+
+@pytest.mark.slow
+def test_every_length_5_pattern_on_monotone_stacks():
+    # the search's prunes fire most on stacks that only grow or only shrink
+    rng = random.Random(8)
+    inputs = [identity(24), identity(24)[::-1]]
+    inputs.append(_avoider_132([rng.randrange(24) for _ in range(24)]))
+    for forbidden in all_perms(5):
+        for p in inputs:
+            assert stack_pass(forbidden, p) == naive_stack_pass(forbidden, p)
 
 
 def test_trace_is_fast():
