@@ -173,14 +173,17 @@ def sortables(n: int, forbidden: Perm) -> tuple[tuple, tuple, tuple | None]:
     counts: dict[Perm, int] = {}
     lemma = {} if len(forbidden) >= 3 and n <= LEMMA_N else None
     rev, swapped = reverse(forbidden), swap_first_two(forbidden)
+    if lemma is not None:  # n <= LEMMA_N <= TABLE_N: the table holds every host
+        table, bit_231 = _masks(n), _BITS[(2, 3, 1)]
+        rev_bit, swap_bit = _BITS.get(rev), _BITS.get(swapped)  # None beyond TABLE_K
     for p, out in (sortable_pairs if lemma is None else machine_outputs)(n, forbidden):
         if lemma is not None:
-            if _contains(p, rev):
-                if not _contains(out, swapped):
+            if (table[p] & rev_bit) if rev_bit else contains(p, rev):
+                if not ((table[out] & swap_bit) if swap_bit else contains(out, swapped)):
                     lemma.setdefault("swap", p)
             elif out != reverse(p):
                 lemma.setdefault("rev", p)
-            if _contains(out, (2, 3, 1)):
+            if table[out] & bit_231:
                 continue
         inputs.append(p)
         counts[out] = counts.get(out, 0) + 1

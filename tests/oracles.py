@@ -1,5 +1,5 @@
 """Definitional oracles, independent of the library's search and pass core:
-no `perms.match`, no anchored push test, no 231 watcher and no prefix-tree
+no `perms.match`, no blocked-value masks, no 231 watcher and no prefix-tree
 walk."""
 
 import itertools
@@ -12,13 +12,18 @@ def _sign(a, b):
     return (a > b) - (a < b)
 
 
-def backtrack_occurrences(host, pattern):
+def backtrack_occurrences(host, pattern, pinned=False):
     """Every occurrence of pattern in host (both may repeat values) as
-    1-based index tuples, in lexicographic order.  Backtracking over index
-    tuples: each candidate is compared with every entry chosen so far.  The
-    recursion is as deep as the pattern is long."""
+    1-based index tuples, in lexicographic order; with pinned, only those
+    whose first entry is host[0].  Backtracking over index tuples: each
+    candidate is compared with every entry chosen so far.  The recursion is
+    as deep as the pattern is long."""
     k, n = len(pattern), len(host)
     chosen = []  # 0-based host indices
+    if pinned:
+        if not (k and n):
+            return iter(())
+        chosen.append(0)
 
     def extend(start):
         m = len(chosen)
@@ -34,11 +39,11 @@ def backtrack_occurrences(host, pattern):
                 yield from extend(i + 1)
                 chosen.pop()
 
-    return extend(0)
+    return extend(len(chosen))
 
 
-def backtrack_contains(host, pattern):
-    return next(backtrack_occurrences(host, pattern), None) is not None
+def backtrack_contains(host, pattern, pinned=False):
+    return next(backtrack_occurrences(host, pattern, pinned), None) is not None
 
 
 def brute_occurrences(host, pattern, pos_adj=frozenset(), val_adj=frozenset()):
@@ -118,12 +123,14 @@ def standardize(word):
 
 
 def naive_stack_pass_traced(forbidden, perm):
-    """Greedy pass that tests each push by checking the whole would-be
-    content (top to bottom) for an occurrence of the forbidden pattern, not
-    just anchored ones; returns the output and the (op, value) events."""
+    """Greedy pass that tests each push of v by a backtracking search of the
+    would-be content (top to bottom) for an occurrence of the forbidden
+    pattern that starts at v: the content below v is legal, so any new
+    occurrence uses v, which is the first entry read top down.  Returns the
+    output and the (op, value) events."""
     stack, out, events = [], [], []
     for v in perm:
-        while stack and backtrack_contains((v,) + tuple(reversed(stack)), forbidden):
+        while stack and backtrack_contains((v,) + tuple(reversed(stack)), forbidden, pinned=True):
             out.append(stack.pop())
             events.append(("pop", out[-1]))
         stack.append(v)

@@ -18,7 +18,7 @@ from stacksort.enumeration import (
     sortable_permutations,
     sorted_profile,
 )
-from oracles import naive_stack_pass, sorts_to_identity
+from oracles import backtrack_contains, naive_stack_pass, sorts_to_identity
 from stacksort.machine import stack_pass
 from stacksort.perms import all_perms, contains, identity
 
@@ -143,8 +143,8 @@ def test_machine_outputs_match_naive_pass(k):
     "forbidden", [(5, 4, 3, 1, 2), (1, 3, 2, 5, 4), (2, 3, 5, 4, 1)], ids=["54312", "13254", "23541"]
 )
 def test_walks_of_a_length_5_pattern_match_naive_pass(forbidden):
-    # for a pattern of length 5 the blocked-value masks stay 0, so the walk
-    # must land each child by the same pinned push test as the pass
+    # the walk lands each child from the masks of the depth-first search of
+    # the push test, and must agree with the pass of the oracle
     for n in range(7):
         passes, sortables = _naive_pairs(n, forbidden)
         assert list(machine_outputs(n, forbidden)) == passes
@@ -152,6 +152,30 @@ def test_walks_of_a_length_5_pattern_match_naive_pass(forbidden):
         preimages = Counter(out for _, out in passes)
         for gamma in all_perms(n):
             assert fertility(forbidden, gamma) == preimages[gamma]
+
+
+def _whole_content_depth(forbidden, v, stack):
+    # pop the top while the content with v on top contains the pattern
+    d = len(stack)
+    while backtrack_contains((v,) + tuple(reversed(stack[:d])), forbidden):
+        d -= 1
+    return d
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_walk_lands_every_child_at_the_whole_content_depth(k):
+    # every child of every node of full walks: the landing depths read after
+    # pops and across backtracking, from masks and stack indices that were
+    # cut to a slice or written by an earlier sibling's subtree
+    for forbidden in all_perms(k):
+        for n in range(1, 7):
+
+            def check(v, d, stack, state):
+                assert d == _whole_content_depth(forbidden, v, stack)
+                return state
+
+            leaves = sum(1 for _ in enumeration.prefix_walk(forbidden, n, check, ()))
+            assert leaves == math.factorial(n)
 
 
 def _count_pushes(monkeypatch):

@@ -203,6 +203,20 @@ def test_trace_invariants(forbidden, p):
     assert (out, [(ev.op, ev.value) for ev in trace]) == naive_stack_pass_traced(forbidden, p)
 
 
+def test_pinned_oracle_search_agrees_with_whole_content_search():
+    # every push of a pass over an input of length <= 7: v onto any legal
+    # content of length <= 6, values standardized
+    for forbidden in [p for k in (2, 3, 4) for p in all_perms(k)]:
+        for n in range(7):
+            for content in all_perms(n):
+                if backtrack_contains(content, forbidden):
+                    continue
+                for v in range(1, n + 2):
+                    host = (v,) + tuple(x + (x >= v) for x in content)
+                    pinned = backtrack_contains(host, forbidden, pinned=True)
+                    assert pinned == backtrack_contains(host, forbidden)
+
+
 @given(
     st.sampled_from(
         [(2, 1), (1, 2), (2, 3, 1), (3, 1, 2), (1, 2, 3), (2, 1, 4, 3), (3, 4, 1, 2)]
@@ -330,6 +344,17 @@ def _match_pass(forbidden, p):
             out.append(stack.pop())
         stack.append(v)
     return tuple(out + stack[::-1])
+
+
+@pytest.mark.parametrize("forbidden", list(all_perms(4)), ids=lambda p: "".join(map(str, p)))
+def test_deep_stack_pass_of_length_4_patterns_matches_match_based_pass(forbidden):
+    # the candidate orders of the push test's scan (from either end with
+    # the dominance cut, or stopping at the first hit) on stacks 80-120 deep
+    rng = random.Random(80)
+    inputs = [tuple(rng.sample(range(1, 81), 80))]
+    inputs.append(_avoider_132([rng.randrange(80) for _ in range(80)]))
+    for p in inputs + [identity(120)]:
+        assert stack_pass(forbidden, p) == _match_pass(forbidden, p)
 
 
 @pytest.mark.slow
