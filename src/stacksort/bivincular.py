@@ -9,8 +9,10 @@ to start at position 1, k in pos_adj pins it to end at position n, and
 symmetrically for val_adj on values 1 and n.  The pattern must be a
 permutation (ValueError otherwise); the host is not checked, and value
 adjacencies assume its values are 1..n.  The search is `perms.match`, which
-takes pos_adj as its position ties; the value adjacencies are checked on
-each occurrence it yields.
+takes pos_adj as its position ties and val_adj as its value ties: an entry
+whose rank neighbour across a value tie is already placed, or whose value is
+tied to 1 or n, has one candidate, looked up by position rather than scanned
+for, and the first occurrence found answers.
 
 The module constant ANCHORED_132 is the pattern (132, {0, 2}, {}): an
 occurrence of 132 that starts at the first entry and whose last two entries
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .perms import Perm, as_perm, match
 
@@ -53,31 +54,10 @@ ANCHORED_132 = BivincularPattern((1, 3, 2), frozenset({0, 2}), frozenset())
 FISHBURN_PATTERN = BivincularPattern((2, 3, 1), frozenset({1}), frozenset({1}))
 
 
-def _value_constraints_ok(values: Sequence[int], val_adj: frozenset[int], n: int) -> bool:
-    if not val_adj or not values:
-        return True
-    k = len(values)
-    j = sorted(values)
-    for y in val_adj:
-        if y == 0:
-            if j[0] != 1:
-                return False
-        elif y == k:
-            if j[-1] != n:
-                return False
-        elif j[y] != j[y - 1] + 1:
-            return False
-    return True
-
-
 def contains_bivincular(host: Perm, bp: BivincularPattern) -> bool:
     """True iff host has a classical occurrence of bp.pattern satisfying all
     position- and value-adjacency constraints."""
-    n = len(host)
-    return any(
-        _value_constraints_ok([host[i] for i in occ], bp.val_adj, n)
-        for occ in match(host, bp.pattern, bp.pos_adj)
-    )
+    return next(match(host, bp.pattern, bp.pos_adj, bp.val_adj), None) is not None
 
 
 def contains_anchored_132(p: Perm) -> bool:

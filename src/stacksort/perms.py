@@ -8,14 +8,21 @@ Text form: entries separated by whitespace or commas ("2 4 1 3"), or a
 compact digit string ("2413") accepted on input only when n <= 9.  Output
 always uses the separated form.
 
-`match` is the library's one pattern search; containment, occurrence
-listing, bivincular patterns and word patterns all run on it (the stack's
-push test reads the blocked-value masks of `machine` instead).  It handles
-words (repeated values) and position ties, accepts a candidate entry by one
-window test against the chosen entries just below, equal to and just above
-it in the pattern, and keeps its backtracking state in lists rather than on
-the call stack, so no input length reaches the recursion limit.  `contains`
-answers 231, 132 and patterns of length at most 2 with O(n) scans instead.
+`contains` decides patterns of length at most 2, 231 and 132 by O(n) scans
+and every other pattern by one pass of the stack's push test over the host
+read right to left: the blocked-value masks of `_blocked_by`, which also
+serve `machine`.  The pass pushes each host entry once, so it costs about
+n² steps for a pattern of length 4 and at most n^(k-2) beyond, whatever the
+host.
+
+`match` lists occurrences and decides bivincular and word patterns.  It
+handles words (repeated values), position ties and value ties, accepts a
+candidate entry by one window test against the chosen entries just below,
+equal to and just above it in the pattern, looks the one candidate of a
+value-tied entry up by value, and keeps its backtracking state in lists
+rather than on the call stack, so no input length reaches the recursion
+limit.  It visits every occurrence of each prefix of the pattern, so its
+steps can grow as n^k.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import bisect
 import functools
 import itertools
 import math
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -89,18 +96,19 @@ def swap_first_two(p: Perm) -> Perm:
     return (p[1], p[0]) + p[2:]
 
 
-def watch_231(values: Iterable[int], mono: list[int], ceiling: int) -> int:
+def watch_231(values: Iterable[int], mono: list[int], ceiling: float) -> float | None:
     """Feed values to Knuth's one-pass 231 detector and return its new
-    ceiling, or -1 once the values seen so far contain 231.
+    ceiling, or None once the values seen so far contain 231.
 
     `ceiling` is the largest value already known to have a bigger element
     after it, so any later value below it completes an occurrence; `mono`
     (updated in place) holds the values still waiting for a bigger one.
-    Start a fresh scan with an empty list and ceiling 0.
+    Start a fresh scan with an empty list and a ceiling below every value:
+    0 for values 1..n, -inf for any integers.
     """
     for v in values:
         if v < ceiling:
-            return -1
+            return None
         while mono and mono[-1] < v:
             ceiling = mono.pop()
         mono.append(v)
@@ -108,7 +116,7 @@ def watch_231(values: Iterable[int], mono: list[int], ceiling: int) -> int:
 
 
 def _contains_231(host: Sequence[int]) -> bool:
-    return watch_231(host, [], 0) < 0
+    return watch_231(host, [], -math.inf) is None
 
 
 def _contains_132(host: Sequence[int]) -> bool:
@@ -132,8 +140,33 @@ def _windows(pattern: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _value_ties(
+    pattern: tuple[int, ...], val_tied: frozenset[int]
+) -> tuple[tuple[int, int, int, int] | None, ...]:
+    # For each entry of a permutation pattern: None, or (a, da, b, db) when
+    # its value must be vals[a] + da and vals[b] + db in match's `vals`.  a
+    # and b are the earlier entries next in rank whose adjacency is tied, or
+    # the slots -4 and -3 holding 0 and n + 1 for a tie to 1 or n; an entry
+    # tied once repeats its one rule.
+    k = len(pattern)
+    index = {r: m for m, r in enumerate(pattern)}
+    out = []
+    for m, r in enumerate(pattern):
+        rules = []
+        if r - 1 in val_tied and (r == 1 or index[r - 1] < m):
+            rules.append((index[r - 1] if r > 1 else -4, 1))
+        if r in val_tied and (r == k or index[r + 1] < m):
+            rules.append((index[r + 1] if r < k else -3, -1))
+        out.append(rules[0] + rules[-1] if rules else None)
+    return tuple(out)
+
+
 def match(
-    host: Sequence[int], pattern: Sequence[int], tied: AbstractSet[int] = frozenset()
+    host: Sequence[int],
+    pattern: Sequence[int],
+    tied: AbstractSet[int] = frozenset(),
+    val_tied: AbstractSet[int] = frozenset(),
 ) -> Iterator[tuple[int, ...]]:
     """Yield every occurrence of pattern in host as a tuple of 0-based
     indices, in lexicographic order.
@@ -143,7 +176,11 @@ def match(
     included, as the pattern's do.  `tied` holds position adjacencies with
     the meaning of `BivincularPattern.pos_adj`: 0 pins the first entry to the
     host's first position, k pins the last entry to its last, and 0 < x < k
-    makes entry x directly follow entry x - 1.
+    makes entry x directly follow entry x - 1.  `val_tied` holds value
+    adjacencies with the meaning of `BivincularPattern.val_adj`, for a
+    permutation pattern and a host with values 1..n: an entry whose rank
+    neighbour across a tie is already chosen, or whose value is tied to 1 or
+    n, has one candidate value, looked up by its position in the host.
     """
     k, n = len(pattern), len(host)
     if k > n:
@@ -151,9 +188,13 @@ def match(
     if k == 0:
         yield ()
         return
-    windows = _windows(tuple(pattern))
+    pattern = tuple(pattern)
+    windows = _windows(pattern)
+    ties = _value_ties(pattern, frozenset(val_tied)) if val_tied else None
+    where = dict(zip(host, range(n))) if val_tied else {}
     chosen = [0] * k
-    vals = [0] * k + [math.inf, -math.inf]  # host values of chosen, then sentinels
+    # host values of chosen, then the slots of ties to 1 and n and the sentinels
+    vals = [0] * k + [0, n + 1, math.inf, -math.inf]
     last = n - 1 if k in tied else 0  # lowest index the last entry may take
     m = i = 0
     while True:
@@ -165,6 +206,11 @@ def match(
         stop = (chosen[m - 1] + 2 if m else 1) if m in tied else n - k + m + 1
         if i < last and m == k - 1:
             i = last
+        if ties and ties[m]:  # one candidate value, if both rules agree on it
+            a, da, b, db = ties[m]
+            x = vals[a] + da
+            j = where.get(x, -1) if x == vals[b] + db else -1
+            i, stop = (j, j + 1) if i <= j < stop else (stop, stop)
         for i in range(i, stop):
             if low < host[i] < high:
                 break
@@ -183,31 +229,196 @@ def match(
             yield tuple(chosen)
 
 
-def contains(host: Perm, pattern: Perm) -> bool:
+@functools.lru_cache(maxsize=256)
+def _levels(forbidden: Perm) -> tuple[tuple, ...]:
+    """For c, e3, ..., ek in turn: (its rank s, the ranks of its window's
+    ends, then those of v's window and each later entry's once s is placed).
+    The ends are the nearest placed ranks below and above; 0, k + 1 first."""
+    k, s1 = len(forbidden), forbidden[0]
+    lows, highs = [0] * (k + 2), [k + 1] * (k + 2)
+    rows = []
+    for j, s in enumerate(forbidden[1:], 2):
+        lo, hi = lows[s], highs[s]
+        lows[s + 1 : hi] = [s] * (hi - s - 1)
+        highs[lo + 1 : s] = [s] * (s - lo - 1)
+        after = tuple(dict.fromkeys((lows[r], highs[r]) for r in forbidden[j:]))
+        rows.append((s, lo, hi, lows[s1], highs[s1], after))
+    return tuple(rows)
+
+
+def _blocked_by(
+    forbidden: Perm, n: int, at: list[int]
+) -> Callable[[int, list[int], list[int]], int]:
+    """For a pattern of length k >= 2 and values 1..n: the function
+    (c, stack, blocked) -> the mask of the values v whose push onto
+    stack + [c] would complete an occurrence (v, c, e3, ..., ek), read top to
+    bottom; the bits of c and of the values in stack do not matter.
+
+    blocked is the stack's mask list and at its index table
+    (`machine.greedy_step`): blocked[i] >> (n + 1) is the mask of the values
+    of stack[:i], and at[a] the index of a value a on the stack.  x[r] is the
+    value of the entry of rank r (x[0] = 0, x[k + 1] = n + 1), strictly
+    inside its window (`_levels`).
+
+    `last` takes the candidates for e(k-1) as a mask of values, c itself for
+    k = 3 and the values in its window below c for k = 4, and reads the
+    values below each candidate a at blocked[at[a]]; ek is the extremal of
+    those in ek's window, the smallest if ek bounds v from below, else the
+    largest (any other gives a subinterval).  An entry next in rank to its
+    window's upper (lower) end bounds no later entry from below (above), so
+    each value it tries rules out the smaller (larger) ones deeper down: the
+    candidates are then taken from that end, and only those above each one
+    tried stay.  When ek does not bound v, the first hit in that order (from
+    the end that widens v's window, if e(k-1) bounds it) blocks every v
+    that a later one would.  For k >= 5, e3, ..., e(k-2) are the levels of
+    a depth-first search down the stack, kept in a list of frames, with the
+    same cut per level; it descends from an entry that `fits`, and `last`
+    is its innermost level.  A push costs a few big-int operations for
+    k = 3, a few more per candidate for k = 4, and O(depth^(k - 4)) calls of
+    `last` beyond.
+    """
+    k = len(forbidden)
+    s1, s2 = forbidden[0], forbidden[1]
+    v_lo, v_hi = s1 - 1, s1 + 1  # x[v_lo] < x[v_hi] in every occurrence
+    x = [0] * (k + 1) + [n + 1]
+    shift = n + 1
+    levels = _levels(forbidden)
+    m = k - 3  # the number of middle entries
+    sz, z_lo, z_hi = levels[-1][:3]  # ek: the smallest if sz < s1, else the largest
+    s_in, in_lo, in_hi = levels[max(m, 0)][:3]  # e(k-1)
+    down = in_hi == s_in + 1 or s_in == s1 + 1  # the largest candidate first
+    cut = in_hi == s_in + 1 or in_lo == s_in - 1
+    first = sz not in (v_lo, v_hi)  # ek does not bound v: stop at a hit
+
+    def last(cand: int, blocked: list[int]) -> int:  # e(k-1) among the values cand
+        mask = 0
+        while cand:
+            x[s_in] = a = cand.bit_length() - 1 if down else (cand & -cand).bit_length() - 1
+            seen = blocked[at[a]] >> shift  # the values below a
+            w = seen & (1 << x[z_hi]) - (2 << x[z_lo])
+            if w:
+                x[sz] = (w & -w).bit_length() - 1 if sz < s1 else w.bit_length() - 1
+                mask |= (1 << x[v_hi]) - (2 << x[v_lo])
+                if first:
+                    return mask
+            cand ^= 1 << a
+            if cut:
+                cand &= ~seen
+        return mask
+
+    def fits(t: int, seen: int, mask: int) -> bool:  # seen: the values below level t
+        _, _, _, vlo_r, vhi_r, after = levels[t]
+        if not (1 << x[vhi_r]) - (2 << x[vlo_r]) & ~mask:
+            return False
+        for lo, hi in after:
+            if not seen & (1 << x[hi]) - (2 << x[lo]):
+                return False
+        return True
+
+    def grow(c: int, stack: list[int], blocked: list[int]) -> int:
+        x[s2] = c
+        if m < 2:  # no middle level
+            if m < 0:
+                return (1 << x[v_hi]) - (2 << x[v_lo])
+            if m == 0:
+                return last(1 << c, blocked)
+            return last(blocked[-1] >> shift & (1 << x[in_hi]) - (2 << x[in_lo]), blocked)
+        seen = blocked[-1] >> shift
+        mask = seen | 1 << c
+        if not fits(0, seen, mask):
+            return mask
+        frames: list[tuple[int, int, int]] = []  # (index, window) of each level above
+        t, i, lo, hi = 1, len(stack), x[levels[1][1]], x[levels[1][2]]
+        while True:
+            if t == m:  # stack[:i] lies below the entry of level m - 1
+                mask |= last(blocked[i] >> shift & (1 << hi) - (2 << lo), blocked)
+            else:
+                s, lo_r, hi_r, _, _, after = levels[t]
+                i -= 1
+                while i > m - t:  # room below for the levels after t
+                    if lo < stack[i] < hi:
+                        x[s] = a = stack[i]
+                        lo, hi = a if hi_r == s + 1 else lo, a if lo_r == s - 1 else hi
+                        if fits(t, blocked[i] >> shift, mask):
+                            break
+                    i -= 1
+                if i > m - t:  # descend from stack[i]
+                    frames.append((i, lo, hi))
+                    t += 1
+                    lo, hi = x[after[0][0]], x[after[0][1]]
+                    continue
+            if not frames:
+                return mask
+            i, lo, hi = frames.pop()
+            t -= 1
+
+    return grow
+
+
+def contains(host: Sequence[int], pattern: Perm) -> bool:
     """True iff some subsequence of host is order-isomorphic to pattern.
 
-    The pattern must be a permutation (ValueError otherwise); the host is
-    any sequence of distinct integers.  The empty pattern is contained in
-    everything.
+    The pattern must be a permutation (ValueError otherwise) and the host a
+    sequence of distinct integers.  The empty pattern is contained in
+    everything.  Patterns of length at most 2, 231 and 132 take one O(n)
+    scan.  Any other pattern takes one pass of the push test of `_blocked_by`
+    over the host read right to left, and raises ValueError on a repeated
+    host value: host[j] starts an occurrence in host[j:] exactly when its
+    bit is set in the mask of the stack that holds host[j + 1:], so the
+    first such bit answers True.  Each entry is pushed once, so a pass costs
+    about n² steps for k = 4 and at most n^(k-2) beyond, whatever the host.
     """
     pattern = as_perm(pattern)
-    k = len(pattern)
+    k, n = len(pattern), len(host)
     if k == 0:
         return True
-    if k > len(host):
+    if k > n:
         return False
     if k == 1:
         return True
     if k == 2:
         # an ascent/descent exists iff an adjacent one does
         if pattern[0] < pattern[1]:
-            return any(host[i] < host[i + 1] for i in range(len(host) - 1))
-        return any(host[i] > host[i + 1] for i in range(len(host) - 1))
+            return any(host[i] < host[i + 1] for i in range(n - 1))
+        return any(host[i] > host[i + 1] for i in range(n - 1))
     if pattern == (2, 3, 1):
         return _contains_231(host)
     if pattern == (1, 3, 2):
         return _contains_132(host)
-    return next(match(host, pattern), None) is not None
+    if len(set(host)) < n:
+        raise ValueError("host values must be distinct")
+    hit = _push_pass(reversed(host), pattern, n)
+    if hit is None:  # not the values 1..n
+        lo, hi = min(host), max(host)
+        if hi - lo < 2 * n:  # dense: shifted onto 1..m
+            hit = _push_pass(map((1 - lo).__add__, reversed(host)), pattern, hi - lo + 1)
+        else:  # sparse: by rank
+            rank = dict(zip(sorted(host), range(1, n + 1)))
+            hit = _push_pass(map(rank.__getitem__, reversed(host)), pattern, n)
+    return hit
+
+
+def _push_pass(values: Iterable[int], pattern: Perm, m: int) -> bool | None:
+    """Push distinct values in turn onto a stack with the masks of
+    `machine.greedy_step` for the forbidden pattern: True at the first value
+    whose push the masks block, False when none is, None at the first value
+    outside 1..m."""
+    at = [0] * (m + 1)  # the stack index of each pushed value
+    grow = _blocked_by(pattern, m, at)
+    shift = m + 1
+    stack: list[int] = []
+    blocked = [0]
+    top = 0
+    for v in values:
+        if not 0 < v <= m:
+            return None
+        if top >> v & 1:
+            return True
+        at[v] = len(stack)
+        top |= grow(v, stack, blocked) | 1 << v + shift
+        blocked.append(top)
+        stack.append(v)
+    return False
 
 
 def occurrences(host: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:

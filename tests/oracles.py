@@ -74,6 +74,16 @@ def brute_contains(host, pattern):
     return next(brute_occurrences(host, pattern), None) is not None
 
 
+def brute_patterns(host):
+    """Every pattern that host contains: the standardization of each of its
+    subsequences."""
+    return {
+        standardize(sub)
+        for k in range(len(host) + 1)
+        for sub in itertools.combinations(host, k)
+    }
+
+
 def brute_avoiders(n, basis):
     """The permutations of length n containing no pattern of basis,
     lexicographic."""
@@ -120,6 +130,22 @@ def standardize(word):
     """The permutation of the ranks of a sequence of distinct values."""
     order = sorted(word)
     return tuple(order.index(v) + 1 for v in word)
+
+
+def avoider_132(splits):
+    """The 132-avoider of length len(splits) that the split choices build:
+    the maximum sits after a 132-avoider of the largest remaining values and
+    before one of the smallest, the first of them splits[i] % size long."""
+
+    def build(values, i):
+        if not values:
+            return (), i
+        k = splits[i] % len(values)
+        high, i = build(values[len(values) - 1 - k : -1], i + 1)
+        low, i = build(values[: len(values) - 1 - k], i)
+        return high + (values[-1],) + low, i
+
+    return build(tuple(range(1, len(splits) + 1)), 0)[0]
 
 
 def naive_stack_pass_traced(forbidden, perm):

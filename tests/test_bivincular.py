@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from stacksort.bivincular import (
     count_anchored_132_avoiders,
     first_element_decomposition,
 )
-from stacksort.perms import all_perms, contains, identity, reverse
+from stacksort.perms import all_perms, contains, identity, match, reverse
 
 
 def bp_strategy(max_k=3):
@@ -84,6 +86,40 @@ def test_value_adjacency_inside():
     for n in range(1, 6):
         for p in all_perms(n):
             assert contains_bivincular(p, bp) == (p != identity(n))
+
+
+def test_an_entry_tied_twice_meets_both_ties():
+    # the 3 of 132 with val_adj {1, 2} is one above the 1 and one below the 2
+    middle = BivincularPattern((1, 3, 2), frozenset(), frozenset({1, 2}))
+    assert contains_bivincular((1, 3, 2), middle)
+    assert contains_bivincular((4, 1, 3, 2), middle)
+    assert not contains_bivincular((1, 4, 2, 3), middle)  # 142 and 143 meet one tie each
+    # the 1 of 21 with val_adj {0, 1} is the value 1 and one below the 2
+    bottom = BivincularPattern((2, 1), frozenset(), frozenset({0, 1}))
+    assert contains_bivincular((2, 3, 1), bottom)
+    assert not contains_bivincular((3, 1, 2), bottom)
+
+
+def _subsets(k):
+    return [frozenset(c) for r in range(k + 2) for c in itertools.combinations(range(k + 1), r)]
+
+
+HOSTS_UP_TO_5 = [h for n in range(6) for h in all_perms(n)]
+
+
+@pytest.mark.parametrize(
+    "pattern", list(all_perms(2)) + list(all_perms(3)), ids=lambda p: "".join(map(str, p))
+)
+def test_value_ties_give_the_brute_force_occurrences_in_order(pattern):
+    # every pos_adj and val_adj, entries tied twice and ties to 1 and n included
+    for pos_adj in _subsets(len(pattern)):
+        for val_adj in _subsets(len(pattern)):
+            bp = BivincularPattern(pattern, pos_adj, val_adj)
+            for host in HOSTS_UP_TO_5:
+                want = list(brute_occurrences(host, pattern, pos_adj, val_adj))
+                got = [tuple(i + 1 for i in occ) for occ in match(host, pattern, pos_adj, val_adj)]
+                assert got == want
+                assert contains_bivincular(host, bp) == bool(want)
 
 
 def test_anchored_132_examples():

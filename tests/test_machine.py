@@ -5,7 +5,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import backtrack_contains, naive_stack_pass, naive_stack_pass_traced, sorts_to_identity
+from oracles import (
+    avoider_132,
+    backtrack_contains,
+    naive_stack_pass,
+    naive_stack_pass_traced,
+    sorts_to_identity,
+)
 from stacksort.machine import (
     TraceEvent,
     greedy_step,
@@ -290,23 +296,9 @@ def test_trace_serialization_round_trip():
     assert tuple(TraceEvent(d["op"], d["value"]) for d in as_json) == trace
 
 
-def _avoider_132(splits):
-    # 132-avoider of length len(splits): the maximum sits after a 132-avoider
-    # of the largest remaining values and before one of the smallest
-    def build(values, i):
-        if not values:
-            return (), i
-        k = splits[i] % len(values)
-        high, i = build(values[len(values) - 1 - k : -1], i + 1)
-        low, i = build(values[: len(values) - 1 - k], i)
-        return high + (values[-1],) + low, i
-
-    return build(tuple(range(1, len(splits) + 1)), 0)[0]
-
-
 LONG_INPUTS = st.one_of(
     st.integers(0, 60).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
-    st.lists(st.integers(0, 59), max_size=60).map(_avoider_132),
+    st.lists(st.integers(0, 59), max_size=60).map(avoider_132),
 )
 
 
@@ -315,7 +307,7 @@ def test_avoider_132_builder():
         built = set()
         for code in range(n**n if n else 1):
             splits = [(code // n**i) % n for i in range(n)] if n else []
-            built.add(_avoider_132(splits))
+            built.add(avoider_132(splits))
         assert built == {p for p in all_perms(n) if not contains(p, (1, 3, 2))}
 
 
@@ -352,7 +344,7 @@ def test_deep_stack_pass_of_length_4_patterns_matches_match_based_pass(forbidden
     # the dominance cut, or stopping at the first hit) on stacks 80-120 deep
     rng = random.Random(80)
     inputs = [tuple(rng.sample(range(1, 81), 80))]
-    inputs.append(_avoider_132([rng.randrange(80) for _ in range(80)]))
+    inputs.append(avoider_132([rng.randrange(80) for _ in range(80)]))
     for p in inputs + [identity(120)]:
         assert stack_pass(forbidden, p) == _match_pass(forbidden, p)
 
@@ -364,7 +356,7 @@ def test_deep_stack_pass_of_length_4_patterns_matches_match_based_pass(forbidden
 def test_deep_stack_pass_matches_match_based_pass(forbidden):
     # the reference finishes each of these inputs in well under a second
     rng = random.Random(4)
-    inputs = [_avoider_132([rng.randrange(n) for _ in range(n)]) for n in (100, 125, 150)]
+    inputs = [avoider_132([rng.randrange(n) for _ in range(n)]) for n in (100, 125, 150)]
     inputs += [tuple(rng.sample(range(1, n + 1), n)) for n in (100, 125, 150)]
     for p in inputs + [identity(200)]:
         assert stack_pass(forbidden, p) == _match_pass(forbidden, p)
@@ -375,7 +367,7 @@ def test_every_length_5_pattern_on_monotone_stacks():
     # the search's prunes fire most on stacks that only grow or only shrink
     rng = random.Random(8)
     inputs = [identity(24), identity(24)[::-1]]
-    inputs.append(_avoider_132([rng.randrange(24) for _ in range(24)]))
+    inputs.append(avoider_132([rng.randrange(24) for _ in range(24)]))
     for forbidden in all_perms(5):
         for p in inputs:
             assert stack_pass(forbidden, p) == naive_stack_pass(forbidden, p)

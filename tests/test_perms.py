@@ -1,15 +1,19 @@
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    avoider_132,
+    backtrack_contains,
     backtrack_occurrences,
     brute_avoiders,
-    brute_contains,
     brute_occurrences,
+    brute_patterns,
     standardize,
 )
+from stacksort import perms
 from stacksort.perms import (
     all_perms,
     as_perm,
@@ -62,14 +66,106 @@ def test_contains_examples():
     assert contains((2, 4, 1, 3), ())
     assert contains((), ())
     assert not contains((), (1,))
+    # the 231 and 132 scans on values below 1
+    assert not contains((-2, 0, -1), (2, 3, 1))
+    assert not contains((0, 1, -1), (1, 3, 2))
+    assert contains((0, 1, -1), (2, 3, 1))
 
 
 def test_contains_matches_brute_force():
-    for n in range(0, 6):
+    # every host up to length 6 against every pattern up to length 5
+    patterns = [t for k in range(6) for t in all_perms(k)]
+    for n in range(0, 7):
         for host in all_perms(n):
-            for k in range(0, 5):
-                for pattern in all_perms(k):
-                    assert contains(host, pattern) == brute_contains(host, pattern)
+            contained = brute_patterns(host)
+            for pattern in patterns:
+                assert contains(host, pattern) == (pattern in contained)
+
+
+PATTERNS = st.integers(2, 5).flatmap(lambda k: st.permutations(tuple(range(1, k + 1))).map(tuple))
+
+
+@given(
+    host=st.one_of(
+        st.integers(0, 60).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
+        st.lists(st.integers(0, 59), max_size=60).map(avoider_132),
+    ),
+    pattern=PATTERNS,
+)
+@settings(max_examples=200, deadline=None)
+def test_contains_matches_oracle_on_long_hosts(host, pattern):
+    if backtrack_contains(pattern, (1, 3, 2)) and not backtrack_contains(host, (1, 3, 2)):
+        # containment is transitive; the backtracking search would take
+        # seconds on some of these
+        assert not contains(host, pattern)
+    else:
+        assert contains(host, pattern) == backtrack_contains(host, pattern)
+
+
+def _dense_host(n):
+    # n distinct values spanning fewer than 2n, shifted anywhere: the offset path
+    return st.tuples(
+        st.lists(st.integers(0, 2 * n - 2), min_size=n, max_size=n, unique=True),
+        st.integers(-100, 100),
+    ).map(lambda ls: tuple(v + ls[1] for v in ls[0]))
+
+
+@given(
+    host=st.one_of(
+        st.integers(1, 40).flatmap(_dense_host),
+        # spread over a range far wider than 2n: the rank path
+        st.lists(st.integers(-10**9, 10**9), max_size=40, unique=True).map(tuple),
+    ),
+    pattern=PATTERNS,
+)
+@settings(max_examples=200, deadline=None)
+def test_contains_reads_any_distinct_int_host(host, pattern):
+    assert contains(host, pattern) == backtrack_contains(host, pattern)
+
+
+@pytest.mark.parametrize(
+    "host", [(1, 2, 2, 3), (1, 1, 2, 3, 4), (5, 9, -3, 9), (10**9, 1, 10**9, 7)], ids=str
+)
+def test_contains_rejects_a_repeated_host_value(host):
+    # (1, 1, 2, 3, 4) holds 1234 on entries that the pass reaches before the
+    # repeated one
+    with pytest.raises(ValueError):
+        contains(host, (1, 2, 3, 4))
+
+
+def test_contains_builds_one_mask_per_host_entry(monkeypatch):
+    # Shapes on which a backtracking search takes seconds to hours: every
+    # start of a long avoider or a monotone host leads into a large subtree
+    # that holds no occurrence, and the host that starts 244, 1 begins with
+    # two entries that no occurrence of 23541 can start from.  The pass
+    # pushes each host entry once and builds one mask per push.
+    grows = 0
+    blocked_by = perms._blocked_by
+
+    def counting(*args):
+        grow = blocked_by(*args)
+
+        def counted(*a):
+            nonlocal grows
+            grows += 1
+            return grow(*a)
+
+        return counted
+
+    monkeypatch.setattr(perms, "_blocked_by", counting)
+    rng = random.Random(245)
+    rest = list(range(2, 244)) + [245]
+    rng.shuffle(rest)
+    p = (244, 1, *rest)
+    avoider = avoider_132([rng.randrange(256) for _ in range(256)])
+    for host, tau, want in (
+        (avoider, (5, 4, 1, 3, 2), False),  # 54132 contains 132
+        (p, (2, 3, 5, 4, 1), backtrack_contains(p[2:], (2, 3, 5, 4, 1))),
+        (identity(300)[::-1], (5, 4, 2, 1, 3), False),
+    ):
+        grows = 0
+        assert contains(host, tau) == want
+        assert 0 < grows <= len(host)
 
 
 def _sequence(max_n, word):
