@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivincular import contains_anchored_132
-from .perms import Perm, as_perm, contains, reverse, swap_first_two
+from .perms import Perm, _contains_231, as_perm, reverse, swap_first_two
 
-PATTERN_231: Perm = (2, 3, 1)
 PATTERN_132: Perm = (1, 3, 2)
 
 # The six mutually exclusive hypothesis labels, in presentation order.
@@ -61,7 +60,7 @@ def _row(pattern: Perm) -> ClassificationRow:
     in the swapped pattern, the mirrored anchored 132 only when the swapped
     pattern avoids 231, and 231 in the pattern only when the label needs it."""
     swapped = swap_first_two(pattern)
-    swap231 = contains(swapped, PATTERN_231)
+    swap231 = _contains_231(swapped)
     # A leading 1 lies in no 231, so a non-effective swapped pattern is 1
     # followed by a 231-avoiding remainder.
     effective = swap231 or swapped[0] != 1
@@ -70,11 +69,11 @@ def _row(pattern: Perm) -> ClassificationRow:
     if not effective:
         label = LABEL_NOT_EFFECTIVE
     elif swap231:
-        if contains(pattern, PATTERN_231):
+        if _contains_231(pattern):
             basis, label = (PATTERN_132,), LABEL_SWAP_231_AND_231
         else:
             basis, label = (PATTERN_132, reverse(pattern)), LABEL_SWAP_231_NOT_231
-    elif not contains(pattern, PATTERN_231):
+    elif not _contains_231(pattern):
         label = LABEL_PLAIN_AVOIDS_231
     else:
         label = LABEL_CONTAINS_MIRROR if mirror else LABEL_CONTAINS_231_NOT_MIRROR

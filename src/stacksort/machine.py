@@ -9,22 +9,23 @@ machine is such a pass followed by a pass through a plain increasing stack
 identity, i.e. when the first-pass output avoids 231.
 
 The greedy rule is written once, in the landing depth and push that
-`greedy_step` returns; `stack_pass`, `stack_pass_traced` and `is_sortable`
-are one loop over it that can also record the push/pop events and feed the
-output to the 231 watcher of `perms`, stopping at the first occurrence.  The
-prefix-tree walker of `enumeration` reads the same landing depth for every
-child of a tree node and pushes only for the children it keeps.
+`perms.greedy_step` returns (imported here as `greedy_step`); `stack_pass`,
+`stack_pass_traced` and `is_sortable` are one loop over it that can also
+record the push/pop events and feed the output to the 231 watcher of
+`perms`, stopping at the first occurrence.  The prefix-tree walker of
+`enumeration` reads the same landing depth for every child of a tree node
+and pushes only for the children it keeps, and `perms.contains` pushes a
+host read right to left.
 
 Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence.  So each
 stack level d keeps a mask of the values whose push onto the bottom d
 entries would start one, for a forbidden pattern of any length: a push test
 reads one bit, a pop drops the top level, and a push of c adds the values
-that c would become the second entry for (`perms._blocked_by`, which also
-decides `perms.contains`).  Above bit n the same mask carries the values of
-the bottom d entries, so the values below any stack entry are one shift of
-its level's mask, and a push looks its candidate entries up by value, not by
-a scan of the stack.  The public functions check the forbidden pattern and
+that c would become the second entry for (`perms._blocked_by`).  Above
+bit n the same mask carries the values of the bottom d entries, so the
+values below any stack entry are one shift of its level's mask, and a push
+looks its candidate entries up by value, not by a scan of the stack.  The public functions check the forbidden pattern and
 the input permutation once per call and raise ValueError on anything else.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .perms import Perm, _blocked_by, as_perm, watch_231
+from .perms import Perm, as_perm, greedy_step, watch_231
 
 PATTERN_21: Perm = (2, 1)
 
@@ -57,44 +58,6 @@ def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
 
 
 Emit = Callable[[int], object]
-Land = Callable[[int, list[int], list[int]], int]
-Push = Callable[[int, list[int], list[int]], None]
-
-
-def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
-    """The greedy rule for inputs with values 1..n: pop the top while pushing
-    v would be illegal, then push v.  land(v, stack, blocked) is the depth d
-    at which v lands; the top entries stack[d:] leave, top first, and
-    push(v, stack, blocked) pushes v once stack and blocked are cut to
-    stack[:d] and blocked[:d + 1].
-
-    blocked holds one mask per stack level: it starts as [0], a pop drops
-    its top and a push appends one.  Bit v <= n of blocked[d] is set when
-    the push of v onto stack[:d] is illegal (bits of stack[:d] do not
-    matter), and bit n + 1 + a when a is in stack[:d].  A push of c appends
-    blocked[-1] with the values that c would start to block and with c's
-    own high bit, so each push test is one bit.  The push also records c's
-    stack index in a table of this step's own.  The entry stays right while
-    c is on the stack: a pass pushes each value once, and the prefix-tree
-    walk pushes no value again below the node that pushed it, so the stacks
-    this push builds, the walk's slices included, read correct indices.
-    """
-    at = [0] * (n + 1)  # the stack index of each value on the stack
-    grow = _blocked_by(forbidden, n, at)
-    shift = n + 1
-
-    def land(v: int, stack: list[int], blocked: list[int]) -> int:
-        d = len(stack)
-        while blocked[d] >> v & 1:
-            d -= 1
-        return d
-
-    def push(v: int, stack: list[int], blocked: list[int]) -> None:
-        at[v] = len(stack)
-        blocked.append(blocked[-1] | grow(v, stack, blocked) | 1 << v + shift)
-        stack.append(v)
-
-    return land, push
 
 
 def _pass(

@@ -8,12 +8,13 @@ Text form: entries separated by whitespace or commas ("2 4 1 3"), or a
 compact digit string ("2413") accepted on input only when n <= 9.  Output
 always uses the separated form.
 
-`contains` decides patterns of length at most 2, 231 and 132 by O(n) scans
-and every other pattern by one pass of the stack's push test over the host
-read right to left: the blocked-value masks of `_blocked_by`, which also
-serve `machine`.  The pass pushes each host entry once, so it costs about
-n² steps for a pattern of length 4 and at most n^(k-2) beyond, whatever the
-host.
+`contains` decides patterns of length at most 3 by O(n) scans (Knuth's 231
+watcher and a 123 scan, read reversed or negated for the other four) and
+every longer pattern by one pass of the stack's push over the host read
+right to left: `greedy_step`, the greedy rule of `machine` and
+`enumeration`, with the blocked-value masks of `_blocked_by`.  The pass
+pushes each host entry once, so it costs about n² steps for a pattern of
+length 4 and at most n^(k-2) beyond, whatever the host.
 
 `match` lists occurrences and decides bivincular and word patterns.  It
 handles words (repeated values), position ties and value ties, accepts a
@@ -31,6 +32,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -115,12 +117,32 @@ def watch_231(values: Iterable[int], mono: list[int], ceiling: float) -> float |
     return ceiling
 
 
-def _contains_231(host: Sequence[int]) -> bool:
-    return watch_231(host, [], -math.inf) is None
+def _contains_231(values: Iterable[int]) -> bool:
+    return watch_231(values, [], -math.inf) is None
 
 
-def _contains_132(host: Sequence[int]) -> bool:
-    return _contains_231(host[::-1])
+def _contains_123(values: Iterable[int]) -> bool:
+    low = mid = math.inf  # the smallest value, the smallest that ends an ascent
+    for v in values:
+        if v > mid:
+            return True
+        if v > low:
+            mid = v
+        else:
+            low = v
+    return False
+
+
+# For each pattern of length 3: the scan that decides it, whether the scan
+# reads the host reversed, and whether negated (the complement)
+_SCANS = {
+    (1, 2, 3): (_contains_123, False, False),
+    (3, 2, 1): (_contains_123, True, False),
+    (2, 3, 1): (_contains_231, False, False),
+    (1, 3, 2): (_contains_231, True, False),
+    (2, 1, 3): (_contains_231, False, True),
+    (3, 1, 2): (_contains_231, True, True),
+}
 
 
 @functools.lru_cache(maxsize=256)
@@ -255,7 +277,7 @@ def _blocked_by(
     bottom; the bits of c and of the values in stack do not matter.
 
     blocked is the stack's mask list and at its index table
-    (`machine.greedy_step`): blocked[i] >> (n + 1) is the mask of the values
+    (`greedy_step`): blocked[i] >> (n + 1) is the mask of the values
     of stack[:i], and at[a] the index of a value a on the stack.  x[r] is the
     value of the entry of rank r (x[0] = 0, x[k + 1] = n + 1), strictly
     inside its window (`_levels`).
@@ -355,69 +377,97 @@ def _blocked_by(
     return grow
 
 
+Land = Callable[[int, list[int], list[int]], int]
+Push = Callable[[int, list[int], list[int]], None]
+
+
+def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
+    """The greedy rule for inputs with values 1..n: pop the top while pushing
+    v would be illegal, then push v.  land(v, stack, blocked) is the depth d
+    at which v lands; the top entries stack[d:] leave, top first, and
+    push(v, stack, blocked) pushes v once stack and blocked are cut to
+    stack[:d] and blocked[:d + 1].
+
+    blocked holds one mask per stack level: it starts as [0], a pop drops
+    its top and a push appends one.  Bit v <= n of blocked[d] is set when
+    the push of v onto stack[:d] is illegal (bits of stack[:d] do not
+    matter), and bit n + 1 + a when a is in stack[:d].  A push of c appends
+    blocked[-1] with the values that c would start to block and with c's
+    own high bit, so each push test is one bit.  The push also records c's
+    stack index in a table of this step's own.  The entry stays right while
+    c is on the stack: a pass pushes each value once, and the prefix-tree
+    walk pushes no value again below the node that pushed it, so the stacks
+    this push builds, the walk's slices included, read correct indices.
+    """
+    at = [0] * (n + 1)  # the stack index of each value on the stack
+    grow = _blocked_by(forbidden, n, at)
+    shift = n + 1
+
+    def land(v: int, stack: list[int], blocked: list[int]) -> int:
+        d = len(stack)
+        while blocked[d] >> v & 1:
+            d -= 1
+        return d
+
+    def push(v: int, stack: list[int], blocked: list[int]) -> None:
+        at[v] = len(stack)
+        blocked.append(blocked[-1] | grow(v, stack, blocked) | 1 << v + shift)
+        stack.append(v)
+
+    return land, push
+
+
 def contains(host: Sequence[int], pattern: Perm) -> bool:
     """True iff some subsequence of host is order-isomorphic to pattern.
 
-    The pattern must be a permutation (ValueError otherwise) and the host a
-    sequence of distinct integers.  The empty pattern is contained in
-    everything.  Patterns of length at most 2, 231 and 132 take one O(n)
-    scan.  Any other pattern takes one pass of the push test of `_blocked_by`
-    over the host read right to left, and raises ValueError on a repeated
-    host value: host[j] starts an occurrence in host[j:] exactly when its
+    The pattern must be a permutation and the host a sequence of distinct
+    integers (ValueError otherwise).  The empty pattern is contained in
+    everything.  Patterns of length at most 3 take one O(n) scan.  Any
+    longer pattern takes one pass of `greedy_step`'s push over the host read
+    right to left, with the host's values ranked onto 1..n unless they are
+    1..n already: host[j] starts an occurrence in host[j:] exactly when its
     bit is set in the mask of the stack that holds host[j + 1:], so the
     first such bit answers True.  Each entry is pushed once, so a pass costs
     about n² steps for k = 4 and at most n^(k-2) beyond, whatever the host.
     """
     pattern = as_perm(pattern)
     k, n = len(pattern), len(host)
-    if k == 0:
-        return True
+    if len(set(host)) < n:
+        raise ValueError("host values must be distinct")
     if k > n:
         return False
-    if k == 1:
+    if k < 2:
         return True
     if k == 2:
         # an ascent/descent exists iff an adjacent one does
         if pattern[0] < pattern[1]:
             return any(host[i] < host[i + 1] for i in range(n - 1))
         return any(host[i] > host[i + 1] for i in range(n - 1))
-    if pattern == (2, 3, 1):
-        return _contains_231(host)
-    if pattern == (1, 3, 2):
-        return _contains_132(host)
-    if len(set(host)) < n:
-        raise ValueError("host values must be distinct")
-    hit = _push_pass(reversed(host), pattern, n)
+    if k == 3:
+        scan, rev, neg = _SCANS[pattern]
+        values = reversed(host) if rev else host
+        return scan(map(operator.neg, values) if neg else values)
+    hit = _push_pass(host, pattern)
     if hit is None:  # not the values 1..n
-        lo, hi = min(host), max(host)
-        if hi - lo < 2 * n:  # dense: shifted onto 1..m
-            hit = _push_pass(map((1 - lo).__add__, reversed(host)), pattern, hi - lo + 1)
-        else:  # sparse: by rank
-            rank = dict(zip(sorted(host), range(1, n + 1)))
-            hit = _push_pass(map(rank.__getitem__, reversed(host)), pattern, n)
+        rank = dict(zip(sorted(host), range(1, n + 1)))
+        hit = _push_pass([rank[v] for v in host], pattern)
     return hit
 
 
-def _push_pass(values: Iterable[int], pattern: Perm, m: int) -> bool | None:
-    """Push distinct values in turn onto a stack with the masks of
-    `machine.greedy_step` for the forbidden pattern: True at the first value
-    whose push the masks block, False when none is, None at the first value
-    outside 1..m."""
-    at = [0] * (m + 1)  # the stack index of each pushed value
-    grow = _blocked_by(pattern, m, at)
-    shift = m + 1
+def _push_pass(host: Sequence[int], pattern: Perm) -> bool | None:
+    """Push host[n - 1], ..., host[0] in turn with `greedy_step`'s push for
+    the forbidden pattern: True at the first value whose push the top mask
+    blocks, False when none is, None at the first value outside 1..n."""
+    n = len(host)
+    _, push = greedy_step(pattern, n)
     stack: list[int] = []
     blocked = [0]
-    top = 0
-    for v in values:
-        if not 0 < v <= m:
+    for v in reversed(host):
+        if not 0 < v <= n:
             return None
-        if top >> v & 1:
+        if blocked[-1] >> v & 1:
             return True
-        at[v] = len(stack)
-        top |= grow(v, stack, blocked) | 1 << v + shift
-        blocked.append(top)
-        stack.append(v)
+        push(v, stack, blocked)
     return False
 
 

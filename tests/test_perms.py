@@ -103,7 +103,7 @@ def test_contains_matches_oracle_on_long_hosts(host, pattern):
 
 
 def _dense_host(n):
-    # n distinct values spanning fewer than 2n, shifted anywhere: the offset path
+    # n distinct values spanning fewer than 2n, shifted anywhere
     return st.tuples(
         st.lists(st.integers(0, 2 * n - 2), min_size=n, max_size=n, unique=True),
         st.integers(-100, 100),
@@ -113,24 +113,25 @@ def _dense_host(n):
 @given(
     host=st.one_of(
         st.integers(1, 40).flatmap(_dense_host),
-        # spread over a range far wider than 2n: the rank path
         st.lists(st.integers(-10**9, 10**9), max_size=40, unique=True).map(tuple),
     ),
     pattern=PATTERNS,
 )
 @settings(max_examples=200, deadline=None)
 def test_contains_reads_any_distinct_int_host(host, pattern):
+    # the scans read the values as they are, the push pass reads their ranks
     assert contains(host, pattern) == backtrack_contains(host, pattern)
 
 
+@pytest.mark.parametrize("pattern", [(1, 2), (2, 3, 1), (2, 1, 3), (1, 2, 3, 4)], ids=str)
 @pytest.mark.parametrize(
     "host", [(1, 2, 2, 3), (1, 1, 2, 3, 4), (5, 9, -3, 9), (10**9, 1, 10**9, 7)], ids=str
 )
-def test_contains_rejects_a_repeated_host_value(host):
-    # (1, 1, 2, 3, 4) holds 1234 on entries that the pass reaches before the
-    # repeated one
+def test_contains_rejects_a_repeated_host_value(host, pattern):
+    # every path checks, also where the host holds the pattern apart from the
+    # repeated value: (1, 1, 2, 3, 4) holds 12 and 1234, (5, 9, -3, 9) 231
     with pytest.raises(ValueError):
-        contains(host, (1, 2, 3, 4))
+        contains(host, pattern)
 
 
 def test_contains_builds_one_mask_per_host_entry(monkeypatch):
