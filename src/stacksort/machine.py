@@ -8,29 +8,37 @@ machine is such a pass followed by a pass through a plain increasing stack
 (forbidden pattern 21), and an input is sortable when the machine emits the
 identity, i.e. when the first-pass output avoids 231.
 
-The greedy rule is written once, in the landing depth and push that
+The greedy rule is written once, in the push and the landing depth that
 `perms.greedy_step` returns (imported here as `greedy_step`); `stack_pass`,
-`stack_pass_traced` and `is_sortable` are one loop over it that can also
-record the push/pop events and feed the output to the 231 watcher of
-`perms`, stopping at the first occurrence.  The prefix-tree walker of
-`enumeration` reads the same landing depth for every child of a tree node
-and pushes only for the children it keeps, and `perms.contains` pushes a
-host read right to left.
+`stack_pass_traced` and `is_sortable` are one loop over its push that pops
+while the top level blocks the next value.  The loop can also mark the
+output length at each push, or feed the output to the 231 watcher of
+`perms`, stopping at the first occurrence.  A trace is built once, at the
+end, from the push marks: the pops before each push are the output since
+the previous one, and every event comes from tables of `TraceEvent`s
+shared by all traces.  The prefix-tree walker of `enumeration` reads the
+landing depth for every child of a tree node and pushes only for the
+children it keeps, and `perms.contains` pushes a host read right to left.
 
 Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence.  So each
 stack level d keeps a mask of the values whose push onto the bottom d
 entries would start one, for a forbidden pattern of any length: a push test
 reads one bit, a pop drops the top level, and a push of c adds the values
-that c would become the second entry for (`perms._blocked_by`).  Above
-bit n the same mask carries the values of the bottom d entries, so the
-values below any stack entry are one shift of its level's mask, and a push
-looks its candidate entries up by value, not by a scan of the stack.  The public functions check the forbidden pattern and
-the input permutation once per call and raise ValueError on anything else.
+that c would become the second entry for (`perms._blocked_by`).  The 21 and
+12 stacks keep one small mask per level, the values that the entry of that
+level blocks.  For longer patterns, above bit n the same mask carries the
+values of the bottom d entries, so the values below any stack entry are one
+shift of its level's mask, and a push looks its candidate entries up by
+value, not by a scan of the stack.
+
+The public functions check the forbidden pattern and the input permutation
+once per call and raise ValueError on anything else.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 from .perms import Perm, as_perm, greedy_step, watch_231
@@ -57,31 +65,23 @@ def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
     return forbidden
 
 
-Emit = Callable[[int], object]
-
-
 def _pass(
     forbidden: Perm,
     perm: Perm,
-    events: list[TraceEvent] | None = None,
+    marks: list[int] | None = None,
     watch: bool = False,
 ) -> Perm | None:
-    """One greedy pass, appending its push/pop events to `events` if given.
-    Otherwise, with `watch`, each output value is fed to the 231 watcher and
-    None is returned at the first occurrence, since the rest of the pass only
+    """One greedy pass: pop while the top level blocks v, then push v.  If
+    given, `marks` receives the output length at each push.  Otherwise, with
+    `watch`, each output value is fed to the 231 watcher and None is
+    returned at the first occurrence, since the rest of the pass only
     appends."""
-    land, push = greedy_step(forbidden, len(perm))
+    _, push = greedy_step(forbidden, len(perm))
     stack: list[int] = []
     blocked = [0]
     out: list[int] = []
-    emit: Emit = out.append
-    if events is not None:
-
-        def emit(t: int) -> None:
-            out.append(t)
-            events.append(TraceEvent("pop", t))
-
-    elif watch:
+    emit: Callable[[int], object] = out.append
+    if watch:
         mono: list[int] = []
         ceiling = 0
 
@@ -92,18 +92,27 @@ def _pass(
             return ceiling is not None
 
     for v in perm:
-        d = land(v, stack, blocked)
-        while len(stack) > d:
+        while blocked[-1] >> v & 1:
             blocked.pop()
             if emit(stack.pop()) is False:
                 return None
         push(v, stack, blocked)
-        if events is not None:
-            events.append(TraceEvent("push", v))
+        if marks is not None:
+            marks.append(len(out))
     while stack:  # end of input: drain
         if emit(stack.pop()) is False:
             return None
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _event_tables(size: int) -> tuple[tuple[TraceEvent, ...], tuple[TraceEvent, ...]]:
+    """The push and the pop event of every value below size, indexed by
+    value: tuples shared by every trace, built once per power-of-two size,
+    so all of them together hold fewer than 8n events for the longest input
+    length n traced."""
+    pushes = tuple(TraceEvent("push", v) for v in range(size))
+    return pushes, tuple(TraceEvent("pop", v) for v in range(size))
 
 
 def stack_pass(forbidden: Perm, perm: Perm) -> Perm:
@@ -112,9 +121,21 @@ def stack_pass(forbidden: Perm, perm: Perm) -> Perm:
 
 
 def stack_pass_traced(forbidden: Perm, perm: Perm) -> tuple[Perm, MachineTrace]:
-    """Like stack_pass, also returning the full push/pop event sequence."""
+    """Like stack_pass, also returning the full push/pop event sequence.
+    The pops before each push are the output since the previous push."""
+    forbidden, perm = check_forbidden(forbidden), as_perm(perm)
+    marks: list[int] = []
+    out = _pass(forbidden, perm, marks)
+    pushes, pops = _event_tables(1 << len(perm).bit_length())
+    popped = list(map(pops.__getitem__, out))
     events: list[TraceEvent] = []
-    out = _pass(check_forbidden(forbidden), as_perm(perm), events)
+    j = 0
+    for v, m in zip(perm, marks):
+        if m > j:
+            events += popped[j:m]
+            j = m
+        events.append(pushes[v])
+    events += popped[j:]
     return out, tuple(events)
 
 

@@ -271,7 +271,7 @@ def _levels(forbidden: Perm) -> tuple[tuple, ...]:
 def _blocked_by(
     forbidden: Perm, n: int, at: list[int]
 ) -> Callable[[int, list[int], list[int]], int]:
-    """For a pattern of length k >= 2 and values 1..n: the function
+    """For a pattern of length k >= 3 and values 1..n: the function
     (c, stack, blocked) -> the mask of the values v whose push onto
     stack + [c] would complete an occurrence (v, c, e3, ..., ek), read top to
     bottom; the bits of c and of the values in stack do not matter.
@@ -307,7 +307,7 @@ def _blocked_by(
     levels = _levels(forbidden)
     m = k - 3  # the number of middle entries
     sz, z_lo, z_hi = levels[-1][:3]  # ek: the smallest if sz < s1, else the largest
-    s_in, in_lo, in_hi = levels[max(m, 0)][:3]  # e(k-1)
+    s_in, in_lo, in_hi = levels[m][:3]  # e(k-1)
     down = in_hi == s_in + 1 or s_in == s1 + 1  # the largest candidate first
     cut = in_hi == s_in + 1 or in_lo == s_in - 1
     first = sz not in (v_lo, v_hi)  # ek does not bound v: stop at a hit
@@ -340,8 +340,6 @@ def _blocked_by(
     def grow(c: int, stack: list[int], blocked: list[int]) -> int:
         x[s2] = c
         if m < 2:  # no middle level
-            if m < 0:
-                return (1 << x[v_hi]) - (2 << x[v_lo])
             if m == 0:
                 return last(1 << c, blocked)
             return last(blocked[-1] >> shift & (1 << x[in_hi]) - (2 << x[in_lo]), blocked)
@@ -386,28 +384,49 @@ def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
     v would be illegal, then push v.  land(v, stack, blocked) is the depth d
     at which v lands; the top entries stack[d:] leave, top first, and
     push(v, stack, blocked) pushes v once stack and blocked are cut to
-    stack[:d] and blocked[:d + 1].
+    stack[:d] and blocked[:d + 1].  A pass may as well pop while
+    blocked[-1] >> v & 1, then push.
 
     blocked holds one mask per stack level: it starts as [0], a pop drops
     its top and a push appends one.  Bit v <= n of blocked[d] is set when
     the push of v onto stack[:d] is illegal (bits of stack[:d] do not
-    matter), and bit n + 1 + a when a is in stack[:d].  A push of c appends
-    blocked[-1] with the values that c would start to block and with c's
-    own high bit, so each push test is one bit.  The push also records c's
-    stack index in a table of this step's own.  The entry stays right while
-    c is on the stack: a pass pushes each value once, and the prefix-tree
-    walk pushes no value again below the node that pushed it, so the stacks
-    this push builds, the walk's slices included, read correct indices.
+    matter), so each push test is one bit.  For a pattern of length 2 the
+    top entry c alone decides, and a push of c appends the mask of the
+    values it blocks, -2 << c (every value above c) for 21 and
+    (1 << c) - 1 for 12; its bits above n carry no stack values.  For
+    k >= 3, bit n + 1 + a of blocked[d] is set when a is in stack[:d], and a
+    push of c appends blocked[-1] with the values that c would start to
+    block (`_blocked_by`) and with c's own high bit.  That push also records
+    c's stack index in a table of this step's own.  The entry stays right
+    while c is on the stack: a pass pushes each value once, and the
+    prefix-tree walk pushes no value again below the node that pushed it,
+    so the stacks this push builds, the walk's slices included, read
+    correct indices.
     """
-    at = [0] * (n + 1)  # the stack index of each value on the stack
-    grow = _blocked_by(forbidden, n, at)
-    shift = n + 1
 
     def land(v: int, stack: list[int], blocked: list[int]) -> int:
         d = len(stack)
         while blocked[d] >> v & 1:
             d -= 1
         return d
+
+    if len(forbidden) == 2:
+        if forbidden[0] > forbidden[1]:
+
+            def push(v: int, stack: list[int], blocked: list[int]) -> None:
+                blocked.append(-2 << v)
+                stack.append(v)
+
+        else:
+
+            def push(v: int, stack: list[int], blocked: list[int]) -> None:
+                blocked.append((1 << v) - 1)
+                stack.append(v)
+
+        return land, push
+    at = [0] * (n + 1)  # the stack index of each value on the stack
+    grow = _blocked_by(forbidden, n, at)
+    shift = n + 1
 
     def push(v: int, stack: list[int], blocked: list[int]) -> None:
         at[v] = len(stack)
@@ -421,19 +440,20 @@ def contains(host: Sequence[int], pattern: Perm) -> bool:
     """True iff some subsequence of host is order-isomorphic to pattern.
 
     The pattern must be a permutation and the host a sequence of distinct
-    integers (ValueError otherwise).  The empty pattern is contained in
-    everything.  Patterns of length at most 3 take one O(n) scan.  Any
-    longer pattern takes one pass of `greedy_step`'s push over the host read
-    right to left, with the host's values ranked onto 1..n unless they are
-    1..n already: host[j] starts an occurrence in host[j:] exactly when its
-    bit is set in the mask of the stack that holds host[j + 1:], so the
-    first such bit answers True.  Each entry is pushed once, so a pass costs
-    about n² steps for k = 4 and at most n^(k-2) beyond, whatever the host.
+    integers, each exactly an int as in `as_perm` (ValueError otherwise, on
+    every path).  The empty pattern is contained in everything.  Patterns
+    of length at most 3 take one O(n) scan.  Any longer pattern takes one
+    pass of `greedy_step`'s push over the host read right to left, with the
+    host's values ranked onto 1..n unless they are 1..n already: host[j]
+    starts an occurrence in host[j:] exactly when its bit is set in the mask
+    of the stack that holds host[j + 1:], so the first such bit answers
+    True.  Each entry is pushed once, so a pass costs about n² steps for
+    k = 4 and at most n^(k-2) beyond, whatever the host.
     """
     pattern = as_perm(pattern)
     k, n = len(pattern), len(host)
-    if len(set(host)) < n:
-        raise ValueError("host values must be distinct")
+    if not set(map(type, host)) <= {int} or len(set(host)) < n:
+        raise ValueError("host values must be distinct integers")
     if k > n:
         return False
     if k < 2:

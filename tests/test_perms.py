@@ -125,11 +125,23 @@ def test_contains_reads_any_distinct_int_host(host, pattern):
 
 @pytest.mark.parametrize("pattern", [(1, 2), (2, 3, 1), (2, 1, 3), (1, 2, 3, 4)], ids=str)
 @pytest.mark.parametrize(
-    "host", [(1, 2, 2, 3), (1, 1, 2, 3, 4), (5, 9, -3, 9), (10**9, 1, 10**9, 7)], ids=str
+    "host",
+    [
+        (1, 2, 2, 3),
+        (1, 1, 2, 3, 4),
+        (5, 9, -3, 9),
+        (10**9, 1, 10**9, 7),
+        (2.5, 1, 3, 4),
+        (1.0, 2.0, 3.0, 4.0),
+        (2.5, 1, 3),
+        (1.0, 2.0),
+    ],
+    ids=str,
 )
 def test_contains_rejects_a_repeated_host_value(host, pattern):
     # every path checks, also where the host holds the pattern apart from the
-    # repeated value: (1, 1, 2, 3, 4) holds 12 and 1234, (5, 9, -3, 9) 231
+    # repeated value: (1, 1, 2, 3, 4) holds 12 and 1234, (5, 9, -3, 9) 231;
+    # and a host entry that is not exactly an int is rejected the same way
     with pytest.raises(ValueError):
         contains(host, pattern)
 
