@@ -5,13 +5,15 @@ one loop over an explicit list of frames, with no recursion, so the walk's
 depth is not bounded by the interpreter's recursion limit.  The greedy pass
 is deterministic, so the machine state after consuming a prefix is the same
 for every completion.  For each child v of a tree node the walker reads the
-depth d at which v lands from `machine.greedy_step` (a few bit tests of the
-node's blocked-value masks) and asks a prune hook whether to take the
-child, before any copy or push.  Only a kept child gets its slice of the
-node's stack and masks and the push of v; its output
-grows by the popped entries stack[d:], top first.  A leaf is landed and
-judged but never pushed, so a full walk pushes once per node of depth
-1..n - 1.
+depth d at which v lands from the node's blocked-value masks, counting down
+from the top while blocked[d] >> v & 1, and asks a prune hook whether to
+take the child, before any copy or push.  Only a kept child gets its slice
+of the node's stack and masks and the push of v (`machine.greedy_step`);
+its output grows by the popped entries stack[d:], top first.  A node with
+two free values finishes its subtree itself, so the nodes of depth n - 1
+never get a frame: it pushes each kept child and lands and judges the
+leaf below it.  A leaf is landed and judged but never pushed, so a full
+walk pushes once per node of depth 1..n - 1.
 
 The stack is last-in first-out, so a node's committed sequence, its output
 followed by its stack read top down, is a subsequence of the output of every
@@ -57,51 +59,71 @@ def prefix_walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iter
     """Yield (input, first-pass output) for every input of length n that the
     hook keeps, in lexicographic input order.
 
-    One loop, no recursion.  `frames` holds one saved frame per node above
-    the current one: (free values, stack, blocked masks, out, prefix, hook
-    state, index of its next child).  A kept child saves its parent and
-    becomes the current node; a node out of children resumes its parent.  A
-    leaf, the last free value, is landed and judged but never pushed: its
-    output is out, the popped entries top first, v, then stack[:d] read top
-    down."""
-    land, push = greedy_step(forbidden, n)
-    if not n:
-        yield (), ()
+    One loop, no recursion, over the nodes with at least two free values.
+    `frames` holds one saved frame per node above the current one: (free
+    values, stack, blocked masks, out, prefix, hook state, index of its
+    next child); `left` counts the current node's free values and `top`
+    its stack's length.  A kept child saves its parent and becomes the
+    current node; a node out of children resumes its parent.  A node with
+    two free values finishes its subtree itself: for each kept child v it
+    pushes v and lands and judges the other value, the leaf, which is never
+    pushed.  A leaf's output is out, the entries v popped top first, v,
+    then the stack read top down with the leaf where it lands."""
+    push = greedy_step(forbidden, n)
+    if n < 2:  # the root is the leaf, or its one child is
+        if not n:
+            yield (), ()
+        elif hook(1, 0, [], state) is not None:
+            yield (1,), (1,)
         return
     frames: list[tuple] = []
     free, stack, blocked = tuple(range(1, n + 1)), [], [0]
     out: Perm = ()
     prefix: Perm = ()
-    i = 0
+    left, top, i = n, 0, 0
     while True:
-        if len(free) == 1:  # the one child is a leaf
-            v = free[0]
-            d = land(v, stack, blocked)
-            if hook(v, d, stack, state) is not None:
-                tail = stack[::-1]
-                tail.insert(len(stack) - d, v)
-                yield prefix + (v,), out + tuple(tail)
-            i = 1  # done: resume the parent
-        while i < len(free):
+        if left == 2:
+            for v, w in (free, free[::-1]):
+                d = top
+                while blocked[d] >> v & 1:
+                    d -= 1
+                child = hook(v, d, stack, state)
+                if child is None:
+                    continue
+                below, masks = stack[:d], blocked[: d + 1]
+                push(v, below, masks)
+                e = d + 1
+                while masks[e] >> w & 1:
+                    e -= 1
+                if hook(w, e, below, child) is not None:
+                    tail = stack[::-1]
+                    tail.insert(top - d, v)
+                    tail.insert(top + 1 - e, w)
+                    yield prefix + (v, w), out + tuple(tail)
+            i = 2  # done: resume the parent
+        while i < left:
             v = free[i]
             i += 1
-            d = land(v, stack, blocked)
+            d = top
+            while blocked[d] >> v & 1:
+                d -= 1
             child = hook(v, d, stack, state)
             if child is not None:
                 frames.append((free, stack, blocked, out, prefix, state, i))
-                if d < len(stack):  # stack[d:] leaves, top first
+                if d < top:  # stack[d:] leaves, top first
                     out += tuple(stack[d:])[::-1]
                 stack, blocked = stack[:d], blocked[: d + 1]
                 push(v, stack, blocked)
                 free = free[: i - 1] + free[i:]
                 prefix += (v,)
                 state = child
-                i = 0
+                left, top, i = left - 1, d + 1, 0
                 break
         else:
             if not frames:
                 return
             free, stack, blocked, out, prefix, state, i = frames.pop()
+            left, top = left + 1, len(stack)
 
 
 def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
@@ -121,22 +143,24 @@ def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
         # larger popped one.  The stack read bottom up avoids 132, so the
         # latter are the entries above stack[d] that are smaller than it.
         popped = levels[-1][0] ^ below
-        ceiling = max(
-            ceiling,
-            (emitted & (1 << popped.bit_length() - 1) - 1).bit_length() - 1,
-            (popped & (1 << stack[d]) - 1).bit_length() - 1,
-        )
+        a = (emitted & (1 << popped.bit_length() - 1) - 1).bit_length() - 1
+        if a > ceiling:
+            ceiling = a
+        a = (popped & (1 << stack[d]) - 1).bit_length() - 1
+        if a > ceiling:
+            ceiling = a
         emitted |= popped
     # v is the 1 after such a pair; or the 2 before an entry of stack[:d]
     # above it in value and a deeper entry below it; or the 3 after an
     # emitted value above min(stack[:d]) and below v
     if v < ceiling or inner >> v & 1 or (emitted & (1 << v) - 1) >> low + 1:
         return None
+    levels = levels[: d + 1]
     if low < v:
-        level = (below | 1 << v, low, inner | (1 << v) - (2 << low))
+        levels.append((below | 1 << v, low, inner | (1 << v) - (2 << low)))
     else:
-        level = (below | 1 << v, v, inner)
-    return ceiling, emitted, levels[: d + 1] + [level]
+        levels.append((below | 1 << v, v, inner))
+    return ceiling, emitted, levels
 
 
 def _never(v: int, d: int, stack: list[int], state: object) -> object:

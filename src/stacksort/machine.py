@@ -8,29 +8,31 @@ machine is such a pass followed by a pass through a plain increasing stack
 (forbidden pattern 21), and an input is sortable when the machine emits the
 identity, i.e. when the first-pass output avoids 231.
 
-The greedy rule is written once, in the push and the landing depth that
-`perms.greedy_step` returns (imported here as `greedy_step`); `stack_pass`,
-`stack_pass_traced` and `is_sortable` are one loop over its push that pops
-while the top level blocks the next value.  The loop can also mark the
-output length at each push, or feed the output to the 231 watcher of
-`perms`, stopping at the first occurrence.  A trace is built once, at the
+The greedy rule is written once, in the push that `perms.greedy_step`
+returns (imported here as `greedy_step`) and the one-bit push test of its
+masks; `stack_pass`, `stack_pass_traced` and `is_sortable` are one loop
+over that push that pops while the top level blocks the next value.  The
+loop can also mark the output length at each push, or feed the output to
+the 231 watcher of `perms`, stopping at the first occurrence.  A trace is built once, at the
 end, from the push marks: the pops before each push are the output since
 the previous one, and every event comes from tables of `TraceEvent`s
 shared by all traces.  The prefix-tree walker of `enumeration` reads the
-landing depth for every child of a tree node and pushes only for the
-children it keeps, and `perms.contains` pushes a host read right to left.
+landing depth of every child of a tree node from the same masks and pushes
+only for the children it keeps, and `perms.contains` pushes a host read
+right to left.
 
 Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence.  So each
 stack level d keeps a mask of the values whose push onto the bottom d
 entries would start one, for a forbidden pattern of any length: a push test
 reads one bit, a pop drops the top level, and a push of c adds the values
-that c would become the second entry for (`perms._blocked_by`).  The 21 and
-12 stacks keep one small mask per level, the values that the entry of that
-level blocks.  For longer patterns, above bit n the same mask carries the
-values of the bottom d entries, so the values below any stack entry are one
-shift of its level's mask, and a push looks its candidate entries up by
-value, not by a scan of the stack.
+that c would become the second entry for.  The 21 and 12 stacks keep one
+small mask per level, the values that the entry of that level blocks.  For
+longer patterns, above bit n the same mask carries the values of the bottom
+d entries, so the values below any stack entry are one shift of its level's
+mask.  For length 3 the push reads the third entry off the top mask in a
+few big-int operations; for longer patterns (`perms._blocked_by`) it looks
+its candidate entries up by value, not by a scan of the stack.
 
 The public functions check the forbidden pattern and the input permutation
 once per call and raise ValueError on anything else.
@@ -76,7 +78,7 @@ def _pass(
     `watch`, each output value is fed to the 231 watcher and None is
     returned at the first occurrence, since the rest of the pass only
     appends."""
-    _, push = greedy_step(forbidden, len(perm))
+    push = greedy_step(forbidden, len(perm))
     stack: list[int] = []
     blocked = [0]
     out: list[int] = []

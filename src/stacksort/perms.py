@@ -271,7 +271,7 @@ def _levels(forbidden: Perm) -> tuple[tuple, ...]:
 def _blocked_by(
     forbidden: Perm, n: int, at: list[int]
 ) -> Callable[[int, list[int], list[int]], int]:
-    """For a pattern of length k >= 3 and values 1..n: the function
+    """For a pattern of length k >= 4 and values 1..n: the function
     (c, stack, blocked) -> the mask of the values v whose push onto
     stack + [c] would complete an occurrence (v, c, e3, ..., ek), read top to
     bottom; the bits of c and of the values in stack do not matter.
@@ -282,9 +282,9 @@ def _blocked_by(
     value of the entry of rank r (x[0] = 0, x[k + 1] = n + 1), strictly
     inside its window (`_levels`).
 
-    `last` takes the candidates for e(k-1) as a mask of values, c itself for
-    k = 3 and the values in its window below c for k = 4, and reads the
-    values below each candidate a at blocked[at[a]]; ek is the extremal of
+    `last` takes the candidates for e(k-1) as a mask of values, the values
+    in its window below c for k = 4, and reads the values below each
+    candidate a at blocked[at[a]]; ek is the extremal of
     those in ek's window, the smallest if ek bounds v from below, else the
     largest (any other gives a subinterval).  An entry next in rank to its
     window's upper (lower) end bounds no later entry from below (above), so
@@ -295,9 +295,9 @@ def _blocked_by(
     that a later one would.  For k >= 5, e3, ..., e(k-2) are the levels of
     a depth-first search down the stack, kept in a list of frames, with the
     same cut per level; it descends from an entry that `fits`, and `last`
-    is its innermost level.  A push costs a few big-int operations for
-    k = 3, a few more per candidate for k = 4, and O(depth^(k - 4)) calls of
-    `last` beyond.
+    is its innermost level.  A push costs a few big-int operations per
+    candidate for k = 4, and O(depth^(k - 4)) calls of `last` beyond.
+    `greedy_step` pushes a pattern of length 3 without it.
     """
     k = len(forbidden)
     s1, s2 = forbidden[0], forbidden[1]
@@ -339,9 +339,7 @@ def _blocked_by(
 
     def grow(c: int, stack: list[int], blocked: list[int]) -> int:
         x[s2] = c
-        if m < 2:  # no middle level
-            if m == 0:
-                return last(1 << c, blocked)
+        if m == 1:  # no middle level
             return last(blocked[-1] >> shift & (1 << x[in_hi]) - (2 << x[in_lo]), blocked)
         seen = blocked[-1] >> shift
         mask = seen | 1 << c
@@ -375,17 +373,16 @@ def _blocked_by(
     return grow
 
 
-Land = Callable[[int, list[int], list[int]], int]
 Push = Callable[[int, list[int], list[int]], None]
 
 
-def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
+def greedy_step(forbidden: Perm, n: int) -> Push:
     """The greedy rule for inputs with values 1..n: pop the top while pushing
-    v would be illegal, then push v.  land(v, stack, blocked) is the depth d
-    at which v lands; the top entries stack[d:] leave, top first, and
-    push(v, stack, blocked) pushes v once stack and blocked are cut to
-    stack[:d] and blocked[:d + 1].  A pass may as well pop while
-    blocked[-1] >> v & 1, then push.
+    v would be illegal, then push v.  push(v, stack, blocked) pushes v once
+    stack and blocked are cut to the depth d where v lands: a pass pops
+    while blocked[-1] >> v & 1, and a walk that keeps stack and blocked
+    whole counts d down from len(stack) while blocked[d] >> v & 1.  The top
+    entries stack[d:] leave, top first.
 
     blocked holds one mask per stack level: it starts as [0], a pop drops
     its top and a push appends one.  Bit v <= n of blocked[d] is set when
@@ -396,21 +393,21 @@ def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
     (1 << c) - 1 for 12; its bits above n carry no stack values.  For
     k >= 3, bit n + 1 + a of blocked[d] is set when a is in stack[:d], and a
     push of c appends blocked[-1] with the values that c would start to
-    block (`_blocked_by`) and with c's own high bit.  That push also records
-    c's stack index in a table of this step's own.  The entry stays right
-    while c is on the stack: a pass pushes each value once, and the
-    prefix-tree walk pushes no value again below the node that pushed it,
-    so the stacks this push builds, the walk's slices included, read
-    correct indices.
+    block and with c's own high bit.
+
+    For k = 3 the pushed entry c is the second entry of every occurrence it
+    starts, and the third is one of the values below c, the high bits of
+    blocked[-1]: the extremal one in its window beside c, the smallest if
+    it bounds v from below, else the largest.  So the push is one call of a
+    few big-int operations.  For k >= 4 the values come from `_blocked_by`,
+    and the push also records c's stack index in a table of this step's
+    own.  The entry stays right while c is on the stack: a pass pushes each
+    value once, and the prefix-tree walk pushes no value again below the
+    node that pushed it, so the stacks this push builds, the walk's slices
+    included, read correct indices.
     """
-
-    def land(v: int, stack: list[int], blocked: list[int]) -> int:
-        d = len(stack)
-        while blocked[d] >> v & 1:
-            d -= 1
-        return d
-
-    if len(forbidden) == 2:
+    k = len(forbidden)
+    if k == 2:
         if forbidden[0] > forbidden[1]:
 
             def push(v: int, stack: list[int], blocked: list[int]) -> None:
@@ -423,17 +420,35 @@ def greedy_step(forbidden: Perm, n: int) -> tuple[Land, Push]:
                 blocked.append((1 << v) - 1)
                 stack.append(v)
 
-        return land, push
+        return push
+    shift = n + 1
+    if k == 3:
+        s1, s2, s3 = forbidden
+        v_lo, v_hi = s1 - 1, s1 + 1  # the ranks at the ends of v's window
+        above = s3 > s2  # e3 lies above c
+        smallest = s3 < s1  # e3 bounds v from below
+        x = [0] * 4 + [n + 1]  # the value of each rank, as in `_blocked_by`
+
+        def push(v: int, stack: list[int], blocked: list[int]) -> None:
+            top = blocked[-1]
+            w = top >> shift & (-2 << v if above else (1 << v) - 1)
+            if w:
+                x[s2] = v
+                x[s3] = (w & -w).bit_length() - 1 if smallest else w.bit_length() - 1
+                top |= (1 << x[v_hi]) - (2 << x[v_lo])
+            blocked.append(top | 1 << v + shift)
+            stack.append(v)
+
+        return push
     at = [0] * (n + 1)  # the stack index of each value on the stack
     grow = _blocked_by(forbidden, n, at)
-    shift = n + 1
 
     def push(v: int, stack: list[int], blocked: list[int]) -> None:
         at[v] = len(stack)
         blocked.append(blocked[-1] | grow(v, stack, blocked) | 1 << v + shift)
         stack.append(v)
 
-    return land, push
+    return push
 
 
 def contains(host: Sequence[int], pattern: Perm) -> bool:
@@ -479,7 +494,7 @@ def _push_pass(host: Sequence[int], pattern: Perm) -> bool | None:
     the forbidden pattern: True at the first value whose push the top mask
     blocks, False when none is, None at the first value outside 1..n."""
     n = len(host)
-    _, push = greedy_step(pattern, n)
+    push = greedy_step(pattern, n)
     stack: list[int] = []
     blocked = [0]
     for v in reversed(host):

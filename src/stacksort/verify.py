@@ -13,7 +13,8 @@ anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read one scan of the
 permutations of each length.  Every suite raises ValueError for max_n < 0.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
-found by a search that stops below n = WITNESS_N, are reported as INFO.
+found by a search that stops below n = witness_n(k) for a pattern of
+length k, are reported as INFO.
 """
 
 from __future__ import annotations
@@ -103,11 +104,14 @@ EQUINUMEROUS_COUNTS = (1, 2, 5, 15, 52, 201, 843, 3764)
 
 FISHBURN_NUMBERS = (1, 2, 5, 15, 53)
 
-# Length by which every predicted witness (a sortable input with a
-# non-sortable pattern, a sortable input containing anchored 132, a sorted
-# output containing the pattern) has shown up for patterns of length <= 4;
-# the last ones, for 4123 and 4132, first appear at n = 7.
-WITNESS_N = 7
+
+def witness_n(k: int) -> int:
+    """Length by which every predicted witness (a sortable input with a
+    non-sortable pattern, a sortable input containing anchored 132, a sorted
+    output containing the pattern) has shown up for patterns of length k.
+    For k = 3, 4 and 5 the last ones (`COR 4.5`) first appear at n = 5, 7
+    and 9, that is 2k - 1; 7 is the floor, where 4123 and 4132 appear."""
+    return max(7, 2 * k - 1)
 
 
 def west_two_stack_count(n: int) -> int:
@@ -212,13 +216,14 @@ def _downset_violations(inputs: tuple[Perm, ...], smaller: tuple[Perm, ...]) -> 
     return ((p, tau) for p in inputs for tau in _deletions(p) if tau not in members)
 
 
-def _witness_status(found: bool, predicted: bool, max_n: int) -> str:
-    """PASS when a witness turns up exactly as predicted.  A witness found
-    against the prediction fails at every n; a predicted witness that has
-    not turned up only fails once the search reached WITNESS_N."""
+def _witness_status(found: bool, predicted: bool, max_n: int, k: int) -> str:
+    """PASS when a witness turns up exactly as predicted, for a pattern of
+    length k.  A witness found against the prediction fails at every n; a
+    predicted witness that has not turned up only fails once the search
+    reached witness_n(k)."""
     if found == predicted:
         return "PASS"
-    return "FAIL" if found or max_n >= WITNESS_N else "INFO"
+    return "FAIL" if found or max_n >= witness_n(k) else "INFO"
 
 
 def _fmt(p: Perm) -> str:
@@ -230,8 +235,8 @@ def _fmt(p: Perm) -> str:
 
 
 def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResult]) -> None:
-    witness_cap = min(max_n, WITNESS_N)
     for m in range(3, max_len + 1):
+        witness_cap = min(max_n, witness_n(m))
         for pattern in all_perms(m):
             is_class, basis = sort_is_class(pattern)
             if is_class:
@@ -270,7 +275,7 @@ def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResul
                             "THM 2.2",
                             _fmt(pattern),
                             witness_cap,
-                            _witness_status(False, True, max_n),
+                            _witness_status(False, True, max_n, m),
                             f"no downset violation within n <= {witness_cap}",
                         )
                     )
@@ -284,7 +289,7 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
                 range(1, max_n + 1),
                 lambda n: filter(contains_anchored_132, sortables(n, pattern)[0]),
             )
-            status = _witness_status(found is not None, not predicted, max_n)
+            status = _witness_status(found is not None, not predicted, max_n, m)
             detail = (
                 "all sortables avoid anchored 132"
                 if found is None
@@ -338,7 +343,7 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
                 range(1, max_n + 1),
                 lambda n: (g for g, _ in sortables(n, pattern)[1] if _contains(g, pattern)),
             )
-            status = _witness_status(found is not None, not effective, max_n)
+            status = _witness_status(found is not None, not effective, max_n, m)
             detail = (
                 "no sorted output contains the pattern"
                 if found is None

@@ -292,7 +292,7 @@ GOLDEN = [
         "97e5c9d4ffe6456d04012f117d7d2d9a7591d828075d3dcd533fffa721fda4c2",
     ),
     (
-        # the length-4 patterns, every witness below WITNESS_N
+        # the length-4 patterns, every witness below witness_n(4) = 7
         ["verify", "--suite", "theorems", "--max-sigma-len", "4", "--max-n", "6"],
         0,
         "4bda580674a818f1f5aa7cd7898944b9e3a7ff4a57a33585ead7f9c84f357731",

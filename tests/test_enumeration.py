@@ -112,7 +112,7 @@ def test_fertility_examples():
 
 @pytest.mark.parametrize("forbidden", [(2, 1), (1, 2, 3), (2, 3, 1), (2, 1, 4, 3)])
 def test_fertility_matches_full_scan(forbidden):
-    for n in range(1, 7):
+    for n in range(7):
         scan = {}
         for p in all_perms(n):
             out = naive_stack_pass(forbidden, p)
@@ -184,13 +184,13 @@ def _count_pushes(monkeypatch):
     real = enumeration.greedy_step
 
     def counting(forbidden, n):
-        land, push = real(forbidden, n)
+        push = real(forbidden, n)
 
         def counted(v, stack, blocked):
             pushes[0] += 1
             push(v, stack, blocked)
 
-        return land, counted
+        return counted
 
     monkeypatch.setattr(enumeration, "greedy_step", counting)
     return pushes

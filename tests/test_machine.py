@@ -251,24 +251,26 @@ def test_push_blocked_matches_whole_content_check(forbidden, values):
     )
 
 
-def _check_blocked_masks(forbidden, values):
+def _check_blocked_masks(forbidden, values, pinned=False):
     # Legal content: each value that keeps the stack legal, in order.  At
     # every level d, bit v of the mask is set exactly when pushing v onto
-    # the bottom d entries would make the content contain the pattern.
+    # the bottom d entries would make the content contain the pattern.  The
+    # content below v is legal, so the search may be pinned to start at v:
+    # it answers the same, much faster on deep stacks.
     stack = []
     for c in values:
-        if not backtrack_contains((c,) + tuple(reversed(stack)), forbidden):
+        if not backtrack_contains((c,) + tuple(reversed(stack)), forbidden, pinned):
             stack.append(c)
-    land, push = greedy_step(forbidden, len(values))
+    push = greedy_step(forbidden, len(values))
     built, blocked = [], [0]
     for c in stack:
-        assert land(c, built, blocked) == len(built)
+        assert not blocked[-1] >> c & 1  # c lands on top of built
         push(c, built, blocked)
     assert built == stack and len(blocked) == len(stack) + 1
     for d, mask in enumerate(blocked):
         below = tuple(reversed(stack[:d]))
         for v in set(values) - set(stack[:d]):
-            assert (mask >> v & 1) == backtrack_contains((v,) + below, forbidden)
+            assert (mask >> v & 1) == backtrack_contains((v,) + below, forbidden, pinned)
 
 
 @given(
@@ -288,6 +290,17 @@ def test_blocked_masks_match_whole_content_check(forbidden, values):
 def test_blocked_masks_of_long_patterns_match_whole_content_check(forbidden, values):
     # the check of the depth-first search over the middle entries
     _check_blocked_masks(forbidden, values)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("forbidden", list(all_perms(3)), ids=lambda p: "".join(map(str, p)))
+def test_length_3_push_masks_on_deep_stacks(forbidden):
+    # the one-call push of a pattern of length 3 at every level of stacks
+    # up to 100 deep: every pattern keeps one of these inputs whole
+    rng = random.Random(3)
+    avoider = avoider_132([rng.randrange(100) for _ in range(100)])
+    for values in (identity(100), identity(100)[::-1], avoider):
+        _check_blocked_masks(forbidden, values, pinned=True)
 
 
 def test_long_pattern_pass_does_not_recurse_per_entry():

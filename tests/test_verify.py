@@ -5,9 +5,9 @@ import pytest
 from oracles import brute_contains
 from stacksort import verify
 from stacksort.enumeration import sortable_permutations, sorted_profile
+from stacksort.machine import is_sortable, stack_pass
 from stacksort.perms import all_perms, contains
 from stacksort.verify import (
-    WITNESS_N,
     CheckResult,
     _contains,
     _masks,
@@ -18,6 +18,7 @@ from stacksort.verify import (
     verify_tables,
     verify_theorems,
     west_two_stack_count,
+    witness_n,
 )
 
 
@@ -105,12 +106,46 @@ def test_theorem_suite_below_witness_length_has_no_fail():
 
 
 def test_witness_status_rule():
-    assert _witness_status(True, True, 3) == "PASS"
-    assert _witness_status(False, False, 3) == "PASS"
-    assert _witness_status(False, True, WITNESS_N - 1) == "INFO"
-    assert _witness_status(False, True, WITNESS_N) == "FAIL"
+    assert [witness_n(k) for k in (2, 3, 4, 5, 6)] == [7, 7, 7, 9, 11]
+    assert _witness_status(True, True, 3, 3) == "PASS"
+    assert _witness_status(False, False, 3, 3) == "PASS"
+    assert _witness_status(False, True, witness_n(4) - 1, 4) == "INFO"
+    assert _witness_status(False, True, witness_n(4), 4) == "FAIL"
     # a witness against the prediction fails at every n
-    assert _witness_status(True, False, 1) == "FAIL"
+    assert _witness_status(True, False, 1, 4) == "FAIL"
+    # length 5: a missing witness is INFO up to n = 8 and fails from n = 9
+    assert _witness_status(False, True, 7, 5) == "INFO"
+    assert _witness_status(False, True, 8, 5) == "INFO"
+    assert _witness_status(False, True, 9, 5) == "FAIL"
+    assert _witness_status(False, True, 10, 5) == "FAIL"
+    assert _witness_status(True, False, 1, 5) == "FAIL"
+    assert _witness_status(True, True, 9, 5) == "PASS"
+
+
+def _sorted_output_witnesses(n, pattern):
+    # COR 4.5's search: the sorted outputs that contain the pattern
+    return [g for g in sorted_profile(n, pattern).entries if contains(g, pattern)]
+
+
+@pytest.mark.parametrize(
+    "pattern, first_n",
+    [((4, 1, 2, 3, 5), 8), ((5, 1, 2, 3, 4), 9), ((5, 1, 4, 3, 2), 9)],
+    ids=["41235", "51234", "51432"],
+)
+def test_length_5_witnesses_appear_only_past_n_7(pattern, first_n):
+    # why witness_n(5) is 9: these non-effective patterns have no sorted
+    # output containing them below first_n, so a bound of 7 failed them
+    assert _sorted_output_witnesses(first_n - 1, pattern) == []
+    assert _sorted_output_witnesses(first_n, pattern)
+    assert first_n <= witness_n(5)
+
+
+def test_first_witness_of_41235():
+    gamma = (4, 1, 2, 3, 7, 5, 6, 8)
+    assert _sorted_output_witnesses(8, (4, 1, 2, 3, 5))[0] == gamma
+    p = (8, 6, 5, 1, 4, 7, 3, 2)
+    assert is_sortable((4, 1, 2, 3, 5), p)
+    assert stack_pass((4, 1, 2, 3, 5), p) == gamma
 
 
 def test_sortables_table_matches_both_enumerators():
