@@ -31,8 +31,9 @@ small mask per level, the values that the entry of that level blocks.  For
 longer patterns, above bit n the same mask carries the values of the bottom
 d entries, so the values below any stack entry are one shift of its level's
 mask.  For length 3 the push reads the third entry off the top mask in a
-few big-int operations; for longer patterns (`perms._blocked_by`) it looks
-its candidate entries up by value, not by a scan of the stack.
+few big-int operations; for longer patterns it looks its candidate entries
+up by value, not by a scan of the stack, in one call for length 4 and by
+the search of `perms._blocked_by` beyond.
 
 The public functions check the forbidden pattern and the input permutation
 once per call and raise ValueError on anything else.

@@ -12,7 +12,8 @@ always uses the separated form.
 watcher and a 123 scan, read reversed or negated for the other four) and
 every longer pattern by one pass of the stack's push over the host read
 right to left: `greedy_step`, the greedy rule of `machine` and
-`enumeration`, with the blocked-value masks of `_blocked_by`.  The pass
+`enumeration`, whose push builds the blocked-value masks in one call for a
+pattern of length 4 and by the search of `_blocked_by` beyond.  The pass
 pushes each host entry once, so it costs about n² steps for a pattern of
 length 4 and at most n^(k-2) beyond, whatever the host.
 
@@ -271,7 +272,7 @@ def _levels(forbidden: Perm) -> tuple[tuple, ...]:
 def _blocked_by(
     forbidden: Perm, n: int, at: list[int]
 ) -> Callable[[int, list[int], list[int]], int]:
-    """For a pattern of length k >= 4 and values 1..n: the function
+    """For a pattern of length k >= 5 and values 1..n: the function
     (c, stack, blocked) -> the mask of the values v whose push onto
     stack + [c] would complete an occurrence (v, c, e3, ..., ek), read top to
     bottom; the bits of c and of the values in stack do not matter.
@@ -282,9 +283,8 @@ def _blocked_by(
     value of the entry of rank r (x[0] = 0, x[k + 1] = n + 1), strictly
     inside its window (`_levels`).
 
-    `last` takes the candidates for e(k-1) as a mask of values, the values
-    in its window below c for k = 4, and reads the values below each
-    candidate a at blocked[at[a]]; ek is the extremal of
+    `last` takes the candidates for e(k-1) as a mask of values and reads the
+    values below each candidate a at blocked[at[a]]; ek is the extremal of
     those in ek's window, the smallest if ek bounds v from below, else the
     largest (any other gives a subinterval).  An entry next in rank to its
     window's upper (lower) end bounds no later entry from below (above), so
@@ -292,12 +292,13 @@ def _blocked_by(
     candidates are then taken from that end, and only those above each one
     tried stay.  When ek does not bound v, the first hit in that order (from
     the end that widens v's window, if e(k-1) bounds it) blocks every v
-    that a later one would.  For k >= 5, e3, ..., e(k-2) are the levels of
-    a depth-first search down the stack, kept in a list of frames, with the
-    same cut per level; it descends from an entry that `fits`, and `last`
-    is its innermost level.  A push costs a few big-int operations per
-    candidate for k = 4, and O(depth^(k - 4)) calls of `last` beyond.
-    `greedy_step` pushes a pattern of length 3 without it.
+    that a later one would.  The same candidate loop, with e3 as e(k-1), is
+    the push of a pattern of length 4 in `greedy_step`.  Here e3, ...,
+    e(k-2) are the levels of a depth-first search down the stack, kept in a
+    list of frames, with the same cut per level; it descends from an entry
+    that `fits`, and `last` is its innermost level.  A push costs
+    O(depth^(k - 4)) calls of `last`.  `greedy_step` pushes patterns of
+    length 3 and 4 without it.
     """
     k = len(forbidden)
     s1, s2 = forbidden[0], forbidden[1]
@@ -339,8 +340,6 @@ def _blocked_by(
 
     def grow(c: int, stack: list[int], blocked: list[int]) -> int:
         x[s2] = c
-        if m == 1:  # no middle level
-            return last(blocked[-1] >> shift & (1 << x[in_hi]) - (2 << x[in_lo]), blocked)
         seen = blocked[-1] >> shift
         mask = seen | 1 << c
         if not fits(0, seen, mask):
@@ -399,12 +398,16 @@ def greedy_step(forbidden: Perm, n: int) -> Push:
     starts, and the third is one of the values below c, the high bits of
     blocked[-1]: the extremal one in its window beside c, the smallest if
     it bounds v from below, else the largest.  So the push is one call of a
-    few big-int operations.  For k >= 4 the values come from `_blocked_by`,
-    and the push also records c's stack index in a table of this step's
-    own.  The entry stays right while c is on the stack: a pass pushes each
-    value once, and the prefix-tree walk pushes no value again below the
-    node that pushed it, so the stacks this push builds, the walk's slices
-    included, read correct indices.
+    few big-int operations.  For k >= 4 the push also records c's stack
+    index in a table of this step's own, so the values below any entry a
+    are blocked[at[a]] >> (n + 1).  For k = 4 the push is again one call:
+    it runs `_blocked_by`'s candidate loop itself over the values below c
+    in e3's window, a few big-int operations per candidate.  For k >= 5 the
+    values come from `_blocked_by`.  The index table's entry stays right
+    while c is on the stack: a pass pushes each value once, and the
+    prefix-tree walk pushes no value again below the node that pushed it,
+    so the stacks this push builds, the walk's slices included, read
+    correct indices.
     """
     k = len(forbidden)
     if k == 2:
@@ -441,6 +444,39 @@ def greedy_step(forbidden: Perm, n: int) -> Push:
 
         return push
     at = [0] * (n + 1)  # the stack index of each value on the stack
+    if k == 4:
+        s1, s2, s3, s4 = forbidden
+        v_lo, v_hi = s1 - 1, s1 + 1
+        above = s3 > s2  # e3 lies above c
+        smallest = s4 < s1  # e4 bounds v from below
+        _, (_, in_lo, in_hi, *_), (_, z_lo, z_hi, *_) = _levels(forbidden)
+        down = in_hi == s3 + 1 or s3 == s1 + 1  # the largest candidate first
+        cut = in_hi == s3 + 1 or in_lo == s3 - 1
+        first = s4 not in (v_lo, v_hi)  # e4 does not bound v: stop at a hit
+        x = [0] * 5 + [n + 1]
+
+        def push(v: int, stack: list[int], blocked: list[int]) -> None:
+            at[v] = len(stack)
+            top = blocked[-1]
+            cand = top >> shift & (-2 << v if above else (1 << v) - 1)  # for e3, below c
+            if cand:
+                x[s2] = v
+                while cand:
+                    x[s3] = a = cand.bit_length() - 1 if down else (cand & -cand).bit_length() - 1
+                    seen = blocked[at[a]] >> shift  # the values below a
+                    w = seen & (1 << x[z_hi]) - (2 << x[z_lo])
+                    if w:
+                        x[s4] = (w & -w).bit_length() - 1 if smallest else w.bit_length() - 1
+                        top |= (1 << x[v_hi]) - (2 << x[v_lo])
+                        if first:
+                            break
+                    cand ^= 1 << a
+                    if cut:
+                        cand &= ~seen
+            blocked.append(top | 1 << v + shift)
+            stack.append(v)
+
+        return push
     grow = _blocked_by(forbidden, n, at)
 
     def push(v: int, stack: list[int], blocked: list[int]) -> None:

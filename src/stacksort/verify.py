@@ -7,7 +7,8 @@ Each machine (pattern, n) is walked once per run: `sortables` keeps its
 sortable inputs, the profile of their first-pass outputs and, up to
 n = LEMMA_N, LEM 2.1's first counterexamples in one table, which every
 check on that machine reads.  Containment comes from one table of pattern
-masks up to n = TABLE_N and |tau| = TABLE_K, and from `contains` beyond.
+masks up to n = TABLE_N and |tau| = TABLE_K, and from `contains` beyond: a
+class within the table is one AND of each mask with its basis bits.
 `verify_theorems` drops the tables of earlier runs on entry.  The
 anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read one scan of the
 permutations of each length.  Every suite raises ValueError for max_n < 0.
@@ -197,10 +198,19 @@ def sortables(n: int, forbidden: Perm) -> tuple[tuple, tuple, tuple | None]:
 
 @lru_cache(maxsize=None)
 def avoider_set(n: int, basis: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    """The avoiders of basis of length n, lexicographic: up to TABLE_N, the
-    mask table's own tuples, so that a run holds one copy of each."""
-    perms = _masks(n) if n <= TABLE_N else all_perms(n)
-    return tuple(p for p in perms if not any(_contains(p, b) for b in basis))
+    """The avoiders of basis of length n, lexicographic.  Up to TABLE_N they
+    are the mask table's own tuples, so that a run holds one copy of each,
+    kept by one AND of their mask with the basis bits; `contains` asks only
+    the patterns longer than TABLE_K, and only of the tuples the AND keeps.
+    Beyond TABLE_N every permutation is asked of `contains`."""
+    if n > TABLE_N:
+        return tuple(p for p in all_perms(n) if not any(contains(p, b) for b in basis))
+    bits = 0
+    for b in basis:
+        bits |= _BITS.get(b, 0)
+    rest = [b for b in basis if b not in _BITS]
+    kept = tuple(p for p, m in _masks(n).items() if not m & bits)
+    return tuple(p for p in kept if not any(contains(p, b) for b in rest)) if rest else kept
 
 
 def _first_witness(ns: range, witnesses: Callable[[int], Iterable]) -> tuple | None:

@@ -303,6 +303,18 @@ def test_length_3_push_masks_on_deep_stacks(forbidden):
         _check_blocked_masks(forbidden, values, pinned=True)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("forbidden", list(all_perms(4)), ids=lambda p: "".join(map(str, p)))
+def test_length_4_push_masks_on_deep_stacks(forbidden):
+    # the one-call push of a pattern of length 4 at every level of stacks
+    # up to 42 deep (the pinned search grows as depth^4 here): identity
+    # keeps every pattern but 4321 whole, its reverse every one but 1234
+    rng = random.Random(4)
+    avoider = avoider_132([rng.randrange(42) for _ in range(42)])
+    for values in (identity(42), identity(42)[::-1], avoider):
+        _check_blocked_masks(forbidden, values, pinned=True)
+
+
 def test_long_pattern_pass_does_not_recurse_per_entry():
     # a pattern longer than the recursion limit, on a stack that fills up
     k = sys.getrecursionlimit() + 200

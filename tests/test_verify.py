@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from oracles import brute_contains
+from oracles import brute_avoiders, brute_contains
 from stacksort import verify
+from stacksort.classify import is_effective, sort_is_class
 from stacksort.enumeration import sortable_permutations, sorted_profile
 from stacksort.machine import is_sortable, stack_pass
 from stacksort.perms import all_perms, contains
@@ -177,6 +178,54 @@ def test_containment_table_matches_brute_force():
     for p in hosts:
         for tau in taus:
             assert _contains(p, tau) == brute_contains(p, tau), (p, tau)
+
+
+# Every basis that THM 2.2, PROP 4.1 and AMB two-letter ask for with
+# patterns of length up to 4, and two with a pattern past the table's
+# length, which the AND cannot hold.
+CLASS_BASES = sorted(
+    {tuple(sort_is_class(p)[1]) for m in (3, 4) for p in all_perms(m) if sort_is_class(p)[0]}
+    | {((2, 3, 1), p) for m in (2, 3, 4) for p in all_perms(m) if is_effective(p)}
+    | {((2, 1, 3),)}
+)
+MIXED_BASES = [((1, 3, 2), (5, 4, 3, 2, 1)), ((2, 3, 1), (2, 1, 3, 5, 4))]
+
+
+def _check_avoider_set(n, basis):
+    # computed afresh from the current table, whose keys the tuples must be
+    table = {p: p for p in _masks(n)}
+    got = avoider_set.__wrapped__(n, basis)
+    assert got == tuple(brute_avoiders(n, basis)), (n, basis)
+    assert all(table[p] is p for p in got)
+
+
+def test_avoider_set_matches_brute_force():
+    assert len(CLASS_BASES) == 31
+    for basis in CLASS_BASES:
+        for n in range(7):
+            _check_avoider_set(n, basis)
+    rng = random.Random(18)
+    for basis in rng.sample(CLASS_BASES, 3):
+        _check_avoider_set(7, basis)
+    _check_avoider_set(8, rng.choice(CLASS_BASES))
+
+
+@pytest.mark.parametrize(
+    "basis", MIXED_BASES, ids=lambda b: "-".join("".join(map(str, p)) for p in b)
+)
+def test_avoider_set_asks_contains_past_the_table_length(basis, monkeypatch):
+    asked = []
+
+    def spy(p, tau):
+        asked.append(tau)
+        return contains(p, tau)
+
+    monkeypatch.setattr(verify, "contains", spy)
+    for n in range(8):
+        _check_avoider_set(n, basis)
+    # only the long pattern is asked, and only of the AND's survivors
+    assert set(asked) == {basis[1]}
+    assert len(asked) == sum(len(list(brute_avoiders(n, basis[:1]))) for n in range(8))
 
 
 def test_containment_past_the_table_asks_contains(monkeypatch):
