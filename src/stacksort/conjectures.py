@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .bivincular import FISHBURN_PATTERN, contains_bivincular
-from .enumeration import prefix_walk, sortable_permutations
+from .enumeration import PruneHook, prefix_walk, sortable_permutations
 from .machine import check_forbidden
 from .perms import Perm, all_perms, match
 
@@ -115,9 +115,10 @@ def fishburn_permutations(n: int) -> Iterator[Perm]:
 
 
 def _fishburn_child(v: int, d: int, prefix: list[int], cut: int) -> int | None:
-    """Prune hook of fishburn_avoiding: keep v after prefix (the stack, which
-    never pops) unless it ends an occurrence of the classical pattern (v
-    would pop) or of the Fishburn pattern (bit v of cut is set)."""
+    """Child test of fishburn_avoiding's prune hook: keep v after prefix
+    (the stack, which never pops) unless it ends an occurrence of the
+    classical pattern (v would pop) or of the Fishburn pattern (bit v of cut
+    is set)."""
     if d < len(prefix) or cut >> v & 1:
         return None
     if prefix and v > prefix[-1]:
@@ -125,6 +126,14 @@ def _fishburn_child(v: int, d: int, prefix: list[int], cut: int) -> int | None:
         # occurrence (u, v, u - 1)
         return cut | 1 << prefix[-1] - 1
     return cut
+
+
+def _fishburn_leaf(w: int, e: int, v: int, d: int, prefix: list[int], cut: int) -> bool:
+    # the same test for the last value w after prefix[:d] + [v], whose cut is v's
+    return e > d and not cut >> w & 1
+
+
+_FISHBURN = PruneHook(_fishburn_child, _fishburn_leaf)
 
 
 def fishburn_avoiding(n: int, classical: Perm) -> Iterator[Perm]:
@@ -137,7 +146,7 @@ def fishburn_avoiding(n: int, classical: Perm) -> Iterator[Perm]:
     occurrence of it exactly when prefix + v ends an occurrence of the
     classical pattern, and that is exactly when v would pop."""
     forbidden = check_forbidden(classical, n)[::-1]
-    return (p for p, _ in prefix_walk(forbidden, n, _fishburn_child, 0))
+    return (p for p, _ in prefix_walk(forbidden, n, _FISHBURN, 0))
 
 
 KINDS = ("sort312", "fishburn3412", "ascent201")

@@ -8,12 +8,14 @@ for every completion.  For each child v of a tree node the walker reads the
 depth d at which v lands from the node's blocked-value masks, counting down
 from the top while blocked[d] >> v & 1, and asks a prune hook whether to
 take the child, before any copy or push.  Only a kept child gets its slice
-of the node's stack and masks and the push of v (`machine.greedy_step`);
-its output grows by the popped entries stack[d:], top first.  A node with
-two free values finishes its subtree itself, so the nodes of depth n - 1
-never get a frame: it pushes each kept child and lands and judges the
-leaf below it.  A leaf is landed and judged but never pushed, so a full
-walk pushes once per node of depth 1..n - 1.
+of the node's stack and masks and the mask of v's level
+(`machine.greedy_step`); its output grows by the popped entries stack[d:],
+top first.  A node with two free values finishes its subtree itself, so the
+nodes of depth n - 1 never get a frame: for each kept child v it asks the
+step for v's mask on the node's own lists, lands the leaf below v from that
+one mask and the node's masks, and asks the hook's leaf test, which builds
+no state.  A leaf is landed and judged but never pushed, so a full walk
+asks the step once per node of depth 1..n - 1.
 
 The stack is last-in first-out, so a node's committed sequence, its output
 followed by its stack read top down, is a subsequence of the output of every
@@ -28,10 +30,12 @@ sequence:
 - all first-pass outputs: never cut.
 
 A kept leaf needs no further check.  Leaves come out lazily in
-lexicographic input order.  Counts and profiles are sums over one whole walk
-of `sortable_pairs`, run serially in the calling process.  The walk is not
-tied to the machine's own questions: `conjectures.fishburn_avoiding` lists
-a prefix-closed family by the same walk with its own hook.
+lexicographic input order.  Profiles are sums over one whole walk of
+`sortable_pairs`; `count_sortable` and `fertility` run the same walk with
+no input or output tuples, and count the leaves it keeps.  Every walk runs
+serially in the calling process.  The walk is not tied to the machine's own
+questions: `conjectures.fishburn_avoiding` lists a prefix-closed family by
+the same walk with its own hook.
 """
 
 from __future__ import annotations
@@ -39,25 +43,38 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .machine import check_forbidden, greedy_step
 from .perms import Perm, as_perm
 
 Pair = tuple[Perm, Perm]
 
-# (v, depth d where v lands, the node's stack, the node's state) -> the
-# child's state, or None to cut the child before its push
-PruneHook = Callable[[int, int, list[int], object], object]
+
+class PruneHook(NamedTuple):
+    """What a walk asks about each child, given the node's stack and state.
+
+    child(v, d, stack, state) judges the child v, which lands at depth d:
+    the child's state, or None to cut it before its push.  leaf(w, e, v, d,
+    stack, state) judges the leaf w below a kept child v, given v's state:
+    w lands at depth e of v's stack, stack[:d] + [v], which is not built.
+    It returns a bool and builds nothing.
+    """
+
+    child: Callable[[int, int, list[int], object], object]
+    leaf: Callable[[int, int, int, int, list[int], object], bool]
 
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def prefix_walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iterator[Pair]:
+def prefix_walk(
+    forbidden: Perm, n: int, hook: PruneHook, state: object, pairs: bool = True
+) -> Iterator[Pair | int]:
     """Yield (input, first-pass output) for every input of length n that the
-    hook keeps, in lexicographic input order.
+    hook keeps, in lexicographic input order.  With pairs false, build no
+    input or output tuple and yield once: the number of leaves kept.
 
     One loop, no recursion, over the nodes with at least two free values.
     `frames` holds one saved frame per node above the current one: (free
@@ -65,41 +82,50 @@ def prefix_walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iter
     next child); `left` counts the current node's free values and `top`
     its stack's length.  A kept child saves its parent and becomes the
     current node; a node out of children resumes its parent.  A node with
-    two free values finishes its subtree itself: for each kept child v it
-    pushes v and lands and judges the other value, the leaf, which is never
-    pushed.  A leaf's output is out, the entries v popped top first, v,
-    then the stack read top down with the leaf where it lands."""
-    push = greedy_step(forbidden, n)
+    two free values finishes its subtree itself.  For each kept child v it
+    asks the step for the mask of v's level on its own lists, and lands the
+    other value, the leaf w, from that one mask, then from its own masks
+    below d; the leaf test judges w, which is never pushed.  A leaf's output
+    is out, the entries v popped top first, v, then the stack read top down
+    with the leaf where it lands."""
+    child_of, leaf = hook
+    step = greedy_step(forbidden, n)
     if n < 2:  # the root is the leaf, or its one child is
-        if not n:
-            yield (), ()
-        elif hook(1, 0, [], state) is not None:
-            yield (1,), (1,)
+        kept = int(not n or child_of(1, 0, [], state) is not None)
+        if not pairs:
+            yield kept
+        elif kept:
+            p = tuple(range(1, n + 1))
+            yield p, p
         return
     frames: list[tuple] = []
     free, stack, blocked = tuple(range(1, n + 1)), [], [0]
     out: Perm = ()
     prefix: Perm = ()
-    left, top, i = n, 0, 0
+    left, top, i, kept = n, 0, 0, 0
     while True:
         if left == 2:
             for v, w in (free, free[::-1]):
                 d = top
                 while blocked[d] >> v & 1:
                     d -= 1
-                child = hook(v, d, stack, state)
+                child = child_of(v, d, stack, state)
                 if child is None:
                     continue
-                below, masks = stack[:d], blocked[: d + 1]
-                push(v, below, masks)
                 e = d + 1
-                while masks[e] >> w & 1:
-                    e -= 1
-                if hook(w, e, below, child) is not None:
+                if step(v, d, stack, blocked) >> w & 1:
+                    e = d
+                    while blocked[e] >> w & 1:
+                        e -= 1
+                if not leaf(w, e, v, d, stack, child):
+                    continue
+                if pairs:
                     tail = stack[::-1]
                     tail.insert(top - d, v)
                     tail.insert(top + 1 - e, w)
                     yield prefix + (v, w), out + tuple(tail)
+                else:
+                    kept += 1
             i = 2  # done: resume the parent
         while i < left:
             v = free[i]
@@ -107,20 +133,25 @@ def prefix_walk(forbidden: Perm, n: int, hook: PruneHook, state: object) -> Iter
             d = top
             while blocked[d] >> v & 1:
                 d -= 1
-            child = hook(v, d, stack, state)
+            child = child_of(v, d, stack, state)
             if child is not None:
                 frames.append((free, stack, blocked, out, prefix, state, i))
-                if d < top:  # stack[d:] leaves, top first
-                    out += tuple(stack[d:])[::-1]
+                if pairs:
+                    if d < top:  # stack[d:] leaves, top first
+                        out += tuple(stack[d:])[::-1]
+                    prefix += (v,)
+                mask = step(v, d, stack, blocked)
                 stack, blocked = stack[:d], blocked[: d + 1]
-                push(v, stack, blocked)
+                stack.append(v)
+                blocked.append(mask)
                 free = free[: i - 1] + free[i:]
-                prefix += (v,)
                 state = child
                 left, top, i = left - 1, d + 1, 0
                 break
         else:
             if not frames:
+                if not pairs:
+                    yield kept
                 return
             free, stack, blocked, out, prefix, state, i = frames.pop()
             left, top = left + 1, len(stack)
@@ -137,12 +168,13 @@ def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
     """
     ceiling, emitted, levels = state
     below, low, inner = levels[d]
-    if d < len(stack):
+    top = len(stack)
+    if d < top:
         # The popped entries add the pairs a < b, a first: a in out below
         # the largest popped value, or a popped value that sits above a
         # larger popped one.  The stack read bottom up avoids 132, so the
         # latter are the entries above stack[d] that are smaller than it.
-        popped = levels[-1][0] ^ below
+        popped = levels[top][0] ^ below
         a = (emitted & (1 << popped.bit_length() - 1) - 1).bit_length() - 1
         if a > ceiling:
             ceiling = a
@@ -163,14 +195,44 @@ def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
     return ceiling, emitted, levels
 
 
+def _no_231_leaf(w: int, e: int, v: int, d: int, stack: list[int], state: object) -> bool:
+    """The test of `_no_231` for the leaf w landing at depth e of
+    stack[:d] + [v], whose state is v's; no state is built."""
+    ceiling, emitted, levels = state
+    below, low, inner = levels[e]
+    if e <= d:  # the entries e.. of stack[:d] + [v] leave
+        popped = levels[d + 1][0] ^ below
+        a = (emitted & (1 << popped.bit_length() - 1) - 1).bit_length() - 1
+        if a > ceiling:
+            ceiling = a
+        a = (popped & (1 << (stack[e] if e < d else v)) - 1).bit_length() - 1
+        if a > ceiling:
+            ceiling = a
+        emitted |= popped
+    return not (w < ceiling or inner >> w & 1 or (emitted & (1 << w) - 1) >> low + 1)
+
+
 def _never(v: int, d: int, stack: list[int], state: object) -> object:
     return state
+
+
+def _never_leaf(w: int, e: int, v: int, d: int, stack: list[int], state: object) -> bool:
+    return True
+
+
+_SORTABLE = PruneHook(_no_231, _no_231_leaf)
+_ALL_OUTPUTS = PruneHook(_never, _never_leaf)
+
+
+def _sortable_walk(n: int, forbidden: Perm, pairs: bool) -> Iterator[Pair | int]:
+    forbidden = check_forbidden(forbidden, n)
+    return prefix_walk(forbidden, n, _SORTABLE, (0, 0, [(0, n + 1, 0)]), pairs)
 
 
 def sortable_pairs(n: int, forbidden: Perm) -> Iterator[Pair]:
     """(input, first-pass output) for every sortable input of length n,
     lexicographic input order: the sortable twin of machine_outputs."""
-    return prefix_walk(check_forbidden(forbidden, n), n, _no_231, (0, 0, [(0, n + 1, 0)]))
+    return _sortable_walk(n, forbidden, True)
 
 
 def sortable_permutations(n: int, forbidden: Perm) -> Iterator[Perm]:
@@ -181,12 +243,12 @@ def sortable_permutations(n: int, forbidden: Perm) -> Iterator[Perm]:
 def machine_outputs(n: int, forbidden: Perm) -> Iterator[Pair]:
     """(input, first-pass output) for every permutation of length n,
     lexicographic input order."""
-    return prefix_walk(check_forbidden(forbidden, n), n, _never, ())
+    return prefix_walk(check_forbidden(forbidden, n), n, _ALL_OUTPUTS, ())
 
 
 def count_sortable(n: int, forbidden: Perm) -> int:
     """|{p of length n : machine sorts p}|."""
-    return sum(1 for _ in sortable_pairs(n, forbidden))
+    return next(_sortable_walk(n, forbidden, False))
 
 
 @dataclass
@@ -234,7 +296,14 @@ def fertility(forbidden: Perm, gamma: Perm) -> int:
             return None
         return end
 
-    return sum(1 for _ in prefix_walk(forbidden, len(target), follows_gamma, 0))
+    def gamma_leaf(w: int, e: int, v: int, d: int, stack: list[int], done: object) -> bool:
+        # The same test on stack[:d] + [v]: w is the last value, so once the
+        # popped run ends in place, w must take gamma's next position.
+        end = done + d + 1 - e
+        return pos[w] == end and (e > d or pos[stack[e] if e < d else v] < end)
+
+    hook = PruneHook(follows_gamma, gamma_leaf)
+    return next(prefix_walk(forbidden, len(target), hook, 0, False))
 
 
 def count_sortable_123_formula(n: int) -> int:

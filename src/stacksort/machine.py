@@ -8,18 +8,20 @@ machine is such a pass followed by a pass through a plain increasing stack
 (forbidden pattern 21), and an input is sortable when the machine emits the
 identity, i.e. when the first-pass output avoids 231.
 
-The greedy rule is written once, in the push that `perms.greedy_step`
-returns (imported here as `greedy_step`) and the one-bit push test of its
-masks; `stack_pass`, `stack_pass_traced` and `is_sortable` are one loop
-over that push that pops while the top level blocks the next value.  The
-loop can also mark the output length at each push, or feed the output to
-the 231 watcher of `perms`, stopping at the first occurrence.  A trace is built once, at the
-end, from the push marks: the pops before each push are the output since
-the previous one, and every event comes from tables of `TraceEvent`s
-shared by all traces.  The prefix-tree walker of `enumeration` reads the
-landing depth of every child of a tree node from the same masks and pushes
-only for the children it keeps, and `perms.contains` pushes a host read
-right to left.
+The greedy rule is written once, in the step that `perms.greedy_step`
+returns (imported here as `greedy_step`), which gives the mask of the level
+a value adds where it lands, and in the one-bit push test of those masks.
+`stack_pass`, `stack_pass_traced` and `is_sortable` are one loop that pops
+while the top level blocks the next value, then appends the step's mask
+and the value.  The loop can also mark the output length at each push, or
+feed the output to the 231 watcher of `perms`, stopping at the first
+occurrence.  A trace is built once, at the end, from the push marks: the
+pops before each push are the output since the previous one, and every
+event comes from tables of `TraceEvent`s shared by all traces.  The
+prefix-tree walker of `enumeration` reads the landing depth of every child
+of a tree node from the same masks, asks the step only for the children it
+keeps, and lands each leaf from one such mask without a push;
+`perms.contains` pushes a host read right to left.
 
 Since the content is legal before every push, a push can only be illegal if
 the new element is the *first* (topmost) entry of an occurrence.  So each
@@ -30,7 +32,7 @@ that c would become the second entry for.  The 21 and 12 stacks keep one
 small mask per level, the values that the entry of that level blocks.  For
 longer patterns, above bit n the same mask carries the values of the bottom
 d entries, so the values below any stack entry are one shift of its level's
-mask.  For length 3 the push reads the third entry off the top mask in a
+mask.  For length 3 the step reads the third entry off the top mask in a
 few big-int operations; for longer patterns it looks its candidate entries
 up by value, not by a scan of the stack, in one call for length 4 and by
 the search of `perms._blocked_by` beyond.
@@ -74,12 +76,12 @@ def _pass(
     marks: list[int] | None = None,
     watch: bool = False,
 ) -> Perm | None:
-    """One greedy pass: pop while the top level blocks v, then push v.  If
-    given, `marks` receives the output length at each push.  Otherwise, with
-    `watch`, each output value is fed to the 231 watcher and None is
-    returned at the first occurrence, since the rest of the pass only
-    appends."""
-    push = greedy_step(forbidden, len(perm))
+    """One greedy pass: pop while the top level blocks v, then push v and
+    the mask of its level.  If given, `marks` receives the output length at
+    each push.  Otherwise, with `watch`, each output value is fed to the 231
+    watcher and None is returned at the first occurrence, since the rest of
+    the pass only appends."""
+    step = greedy_step(forbidden, len(perm))
     stack: list[int] = []
     blocked = [0]
     out: list[int] = []
@@ -94,12 +96,16 @@ def _pass(
             ceiling = watch_231((t,), mono, ceiling)
             return ceiling is not None
 
+    d = 0  # the stack's depth
     for v in perm:
-        while blocked[-1] >> v & 1:
+        while blocked[d] >> v & 1:
             blocked.pop()
+            d -= 1
             if emit(stack.pop()) is False:
                 return None
-        push(v, stack, blocked)
+        blocked.append(step(v, d, stack, blocked))
+        stack.append(v)
+        d += 1
         if marks is not None:
             marks.append(len(out))
     while stack:  # end of input: drain

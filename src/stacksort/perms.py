@@ -12,10 +12,11 @@ always uses the separated form.
 watcher and a 123 scan, read reversed or negated for the other four) and
 every longer pattern by one pass of the stack's push over the host read
 right to left: `greedy_step`, the greedy rule of `machine` and
-`enumeration`, whose push builds the blocked-value masks in one call for a
-pattern of length 4 and by the search of `_blocked_by` beyond.  The pass
-pushes each host entry once, so it costs about n² steps for a pattern of
-length 4 and at most n^(k-2) beyond, whatever the host.
+`enumeration`, whose step returns the blocked-value mask of each pushed
+level, in one call for a pattern of length 4 and by the search of
+`_blocked_by` beyond.  The pass pushes each host entry once, so it costs
+about n² steps for a pattern of length 4 and at most n^(k-2) beyond,
+whatever the host.
 
 `match` lists occurrences and decides bivincular and word patterns.  It
 handles words (repeated values), position ties and value ties, accepts a
@@ -39,12 +40,26 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 Perm = tuple[int, ...]
 
 
+def _distinct_ints(values: Sequence[int]) -> set[int] | None:
+    """The set of the entries when each is exactly an int (2.0 and True
+    compare equal to integers but are not) and no two are equal, else None:
+    one count of the entries' types and one set."""
+    n = len(values)
+    if operator.countOf(map(type, values), int) == n:
+        seen = set(values)
+        if len(seen) == n:
+            return seen
+    return None
+
+
 def as_perm(values: Iterable[int]) -> Perm:
     """Validate and normalize to a tuple; raises ValueError if not a
     permutation, including when an entry is not exactly an int (2.0 and True
     compare equal to integers but are rejected)."""
     p = tuple(values)
-    if not set(map(type, p)) <= {int} or set(p) != set(range(1, len(p) + 1)):
+    seen = _distinct_ints(p)
+    # n distinct values that include 1..n are 1..n
+    if seen is None or not seen.issuperset(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
     return p
 
@@ -271,11 +286,12 @@ def _levels(forbidden: Perm) -> tuple[tuple, ...]:
 
 def _blocked_by(
     forbidden: Perm, n: int, at: list[int]
-) -> Callable[[int, list[int], list[int]], int]:
+) -> Callable[[int, int, list[int], list[int]], int]:
     """For a pattern of length k >= 5 and values 1..n: the function
-    (c, stack, blocked) -> the mask of the values v whose push onto
-    stack + [c] would complete an occurrence (v, c, e3, ..., ek), read top to
-    bottom; the bits of c and of the values in stack do not matter.
+    (c, d, stack, blocked) -> the mask of the values v whose push onto
+    stack[:d] + [c] would complete an occurrence (v, c, e3, ..., ek), read
+    top to bottom; the bits of c and of the values in stack[:d] do not
+    matter.  It reads only stack[:d] and blocked[:d + 1].
 
     blocked is the stack's mask list and at its index table
     (`greedy_step`): blocked[i] >> (n + 1) is the mask of the values
@@ -293,11 +309,11 @@ def _blocked_by(
     tried stay.  When ek does not bound v, the first hit in that order (from
     the end that widens v's window, if e(k-1) bounds it) blocks every v
     that a later one would.  The same candidate loop, with e3 as e(k-1), is
-    the push of a pattern of length 4 in `greedy_step`.  Here e3, ...,
+    the step of a pattern of length 4 in `greedy_step`.  Here e3, ...,
     e(k-2) are the levels of a depth-first search down the stack, kept in a
     list of frames, with the same cut per level; it descends from an entry
     that `fits`, and `last` is its innermost level.  A push costs
-    O(depth^(k - 4)) calls of `last`.  `greedy_step` pushes patterns of
+    O(depth^(k - 4)) calls of `last`.  `greedy_step` steps patterns of
     length 3 and 4 without it.
     """
     k = len(forbidden)
@@ -338,14 +354,14 @@ def _blocked_by(
                 return False
         return True
 
-    def grow(c: int, stack: list[int], blocked: list[int]) -> int:
+    def grow(c: int, d: int, stack: list[int], blocked: list[int]) -> int:
         x[s2] = c
-        seen = blocked[-1] >> shift
+        seen = blocked[d] >> shift
         mask = seen | 1 << c
         if not fits(0, seen, mask):
             return mask
         frames: list[tuple[int, int, int]] = []  # (index, window) of each level above
-        t, i, lo, hi = 1, len(stack), x[levels[1][1]], x[levels[1][2]]
+        t, i, lo, hi = 1, d, x[levels[1][1]], x[levels[1][2]]
         while True:
             if t == m:  # stack[:i] lies below the entry of level m - 1
                 mask |= last(blocked[i] >> shift & (1 << hi) - (2 << lo), blocked)
@@ -372,58 +388,57 @@ def _blocked_by(
     return grow
 
 
-Push = Callable[[int, list[int], list[int]], None]
+Step = Callable[[int, int, list[int], list[int]], int]
 
 
-def greedy_step(forbidden: Perm, n: int) -> Push:
+def greedy_step(forbidden: Perm, n: int) -> Step:
     """The greedy rule for inputs with values 1..n: pop the top while pushing
-    v would be illegal, then push v.  push(v, stack, blocked) pushes v once
-    stack and blocked are cut to the depth d where v lands: a pass pops
-    while blocked[-1] >> v & 1, and a walk that keeps stack and blocked
-    whole counts d down from len(stack) while blocked[d] >> v & 1.  The top
-    entries stack[d:] leave, top first.
+    v would be illegal, then push v.  step(v, d, stack, blocked) returns the
+    mask of the level that v adds when it lands at depth d, on stack[:d];
+    the caller pushes it, blocked.append(mask) and stack.append(v), once
+    both are cut to d.  The step reads only stack[:d] and blocked[:d + 1],
+    so a walk can land a value on a node's own lists and copy nothing.  A
+    pass pops while blocked[-1] >> v & 1, so d = len(stack); a walk that
+    keeps stack and blocked whole counts d down from len(stack) while
+    blocked[d] >> v & 1.  The top entries stack[d:] leave, top first.
 
     blocked holds one mask per stack level: it starts as [0], a pop drops
     its top and a push appends one.  Bit v <= n of blocked[d] is set when
     the push of v onto stack[:d] is illegal (bits of stack[:d] do not
     matter), so each push test is one bit.  For a pattern of length 2 the
-    top entry c alone decides, and a push of c appends the mask of the
-    values it blocks, -2 << c (every value above c) for 21 and
-    (1 << c) - 1 for 12; its bits above n carry no stack values.  For
-    k >= 3, bit n + 1 + a of blocked[d] is set when a is in stack[:d], and a
-    push of c appends blocked[-1] with the values that c would start to
-    block and with c's own high bit.
+    top entry c alone decides, and the mask of c is the values it blocks,
+    -2 << c (every value above c) for 21 and (1 << c) - 1 for 12; its bits
+    above n carry no stack values.  For k >= 3, bit n + 1 + a of blocked[d]
+    is set when a is in stack[:d], and the mask of c is blocked[d] with the
+    values that c would start to block and with c's own high bit.
 
-    For k = 3 the pushed entry c is the second entry of every occurrence it
+    For k = 3 the entry c is the second entry of every occurrence it
     starts, and the third is one of the values below c, the high bits of
-    blocked[-1]: the extremal one in its window beside c, the smallest if
-    it bounds v from below, else the largest.  So the push is one call of a
-    few big-int operations.  For k >= 4 the push also records c's stack
-    index in a table of this step's own, so the values below any entry a
-    are blocked[at[a]] >> (n + 1).  For k = 4 the push is again one call:
-    it runs `_blocked_by`'s candidate loop itself over the values below c
-    in e3's window, a few big-int operations per candidate.  For k >= 5 the
-    values come from `_blocked_by`.  The index table's entry stays right
-    while c is on the stack: a pass pushes each value once, and the
-    prefix-tree walk pushes no value again below the node that pushed it,
-    so the stacks this push builds, the walk's slices included, read
-    correct indices.
+    blocked[d]: the extremal one in its window beside c, the smallest if it
+    bounds v from below, else the largest.  So the step is one call of a few
+    big-int operations.  For k >= 4 the step also records at[c] = d, c's
+    stack index, in a table of this step's own, so the values below any
+    entry a are blocked[at[a]] >> (n + 1).  For k = 4 the step is again one
+    call: it runs `_blocked_by`'s candidate loop itself over the values
+    below c in e3's window, a few big-int operations per candidate.  For
+    k >= 5 the values come from `_blocked_by`.  The index table's entry
+    stays right while c is on the stack: a pass pushes each value once, and
+    the prefix-tree walk steps no value again below the node that pushed
+    it, so every step reads correct indices of the values in stack[:d].
     """
     k = len(forbidden)
     if k == 2:
         if forbidden[0] > forbidden[1]:
 
-            def push(v: int, stack: list[int], blocked: list[int]) -> None:
-                blocked.append(-2 << v)
-                stack.append(v)
+            def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
+                return -2 << v
 
         else:
 
-            def push(v: int, stack: list[int], blocked: list[int]) -> None:
-                blocked.append((1 << v) - 1)
-                stack.append(v)
+            def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
+                return (1 << v) - 1
 
-        return push
+        return step
     shift = n + 1
     if k == 3:
         s1, s2, s3 = forbidden
@@ -432,17 +447,16 @@ def greedy_step(forbidden: Perm, n: int) -> Push:
         smallest = s3 < s1  # e3 bounds v from below
         x = [0] * 4 + [n + 1]  # the value of each rank, as in `_blocked_by`
 
-        def push(v: int, stack: list[int], blocked: list[int]) -> None:
-            top = blocked[-1]
+        def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
+            top = blocked[d]
             w = top >> shift & (-2 << v if above else (1 << v) - 1)
             if w:
                 x[s2] = v
                 x[s3] = (w & -w).bit_length() - 1 if smallest else w.bit_length() - 1
                 top |= (1 << x[v_hi]) - (2 << x[v_lo])
-            blocked.append(top | 1 << v + shift)
-            stack.append(v)
+            return top | 1 << v + shift
 
-        return push
+        return step
     at = [0] * (n + 1)  # the stack index of each value on the stack
     if k == 4:
         s1, s2, s3, s4 = forbidden
@@ -455,9 +469,9 @@ def greedy_step(forbidden: Perm, n: int) -> Push:
         first = s4 not in (v_lo, v_hi)  # e4 does not bound v: stop at a hit
         x = [0] * 5 + [n + 1]
 
-        def push(v: int, stack: list[int], blocked: list[int]) -> None:
-            at[v] = len(stack)
-            top = blocked[-1]
+        def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
+            at[v] = d
+            top = blocked[d]
             cand = top >> shift & (-2 << v if above else (1 << v) - 1)  # for e3, below c
             if cand:
                 x[s2] = v
@@ -473,18 +487,16 @@ def greedy_step(forbidden: Perm, n: int) -> Push:
                     cand ^= 1 << a
                     if cut:
                         cand &= ~seen
-            blocked.append(top | 1 << v + shift)
-            stack.append(v)
+            return top | 1 << v + shift
 
-        return push
+        return step
     grow = _blocked_by(forbidden, n, at)
 
-    def push(v: int, stack: list[int], blocked: list[int]) -> None:
-        at[v] = len(stack)
-        blocked.append(blocked[-1] | grow(v, stack, blocked) | 1 << v + shift)
-        stack.append(v)
+    def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
+        at[v] = d
+        return blocked[d] | grow(v, d, stack, blocked) | 1 << v + shift
 
-    return push
+    return step
 
 
 def contains(host: Sequence[int], pattern: Perm) -> bool:
@@ -503,7 +515,7 @@ def contains(host: Sequence[int], pattern: Perm) -> bool:
     """
     pattern = as_perm(pattern)
     k, n = len(pattern), len(host)
-    if not set(map(type, host)) <= {int} or len(set(host)) < n:
+    if _distinct_ints(host) is None:
         raise ValueError("host values must be distinct integers")
     if k > n:
         return False
@@ -526,19 +538,20 @@ def contains(host: Sequence[int], pattern: Perm) -> bool:
 
 
 def _push_pass(host: Sequence[int], pattern: Perm) -> bool | None:
-    """Push host[n - 1], ..., host[0] in turn with `greedy_step`'s push for
+    """Push host[n - 1], ..., host[0] in turn with `greedy_step`'s step for
     the forbidden pattern: True at the first value whose push the top mask
     blocks, False when none is, None at the first value outside 1..n."""
     n = len(host)
-    push = greedy_step(pattern, n)
+    step = greedy_step(pattern, n)
     stack: list[int] = []
     blocked = [0]
-    for v in reversed(host):
+    for d, v in enumerate(reversed(host)):
         if not 0 < v <= n:
             return None
-        if blocked[-1] >> v & 1:
+        if blocked[d] >> v & 1:
             return True
-        push(v, stack, blocked)
+        blocked.append(step(v, d, stack, blocked))
+        stack.append(v)
     return False
 
 

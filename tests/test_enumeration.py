@@ -128,15 +128,26 @@ def _naive_pairs(n, forbidden):
     return passes, [pair for pair in passes if sorts_to_identity(forbidden, pair[0])]
 
 
+def _check_counts(n, forbidden, passes, sortables):
+    # the walks that build no tuples count the leaves that the pair walks list
+    assert count_sortable(n, forbidden) == len(sortables)
+    preimages = Counter(out for _, out in passes)
+    for gamma in all_perms(n):
+        assert fertility(forbidden, gamma) == preimages[gamma]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_machine_outputs_match_naive_pass(k):
     # the walker runs the same greedy step as the pass, one node at a time,
-    # and the sortable walk keeps exactly the sortable leaves, in order
+    # the sortable walk keeps exactly the sortable leaves, in order, and the
+    # counting walks count them
     for forbidden in all_perms(k):
         for n in range(7):
             passes, sortables = _naive_pairs(n, forbidden)
             assert list(machine_outputs(n, forbidden)) == passes
             assert list(sortable_pairs(n, forbidden)) == sortables
+            _check_counts(n, forbidden, passes, sortables)
+        assert count_sortable(7, forbidden) == len(list(sortable_pairs(7, forbidden)))
 
 
 @pytest.mark.parametrize(
@@ -149,9 +160,8 @@ def test_walks_of_a_length_5_pattern_match_naive_pass(forbidden):
         passes, sortables = _naive_pairs(n, forbidden)
         assert list(machine_outputs(n, forbidden)) == passes
         assert list(sortable_pairs(n, forbidden)) == sortables
-        preimages = Counter(out for _, out in passes)
-        for gamma in all_perms(n):
-            assert fertility(forbidden, gamma) == preimages[gamma]
+        _check_counts(n, forbidden, passes, sortables)
+    assert count_sortable(7, forbidden) == len(list(sortable_pairs(7, forbidden)))
 
 
 def _whole_content_depth(forbidden, v, stack):
@@ -166,7 +176,8 @@ def _whole_content_depth(forbidden, v, stack):
 def test_walk_lands_every_child_at_the_whole_content_depth(k):
     # every child of every node of full walks: the landing depths read after
     # pops and across backtracking, from masks and stack indices that were
-    # cut to a slice or written by an earlier sibling's subtree
+    # cut to a slice or written by an earlier sibling's subtree, and every
+    # leaf's, read from its parent's mask on the grandparent's own lists
     for forbidden in all_perms(k):
         for n in range(1, 7):
 
@@ -174,21 +185,27 @@ def test_walk_lands_every_child_at_the_whole_content_depth(k):
                 assert d == _whole_content_depth(forbidden, v, stack)
                 return state
 
-            leaves = sum(1 for _ in enumeration.prefix_walk(forbidden, n, check, ()))
+            def check_leaf(w, e, v, d, stack, state):
+                assert e == _whole_content_depth(forbidden, w, stack[:d] + [v])
+                return True
+
+            hook = enumeration.PruneHook(check, check_leaf)
+            leaves = sum(1 for _ in enumeration.prefix_walk(forbidden, n, hook, ()))
             assert leaves == math.factorial(n)
 
 
 def _count_pushes(monkeypatch):
-    """Count the walk's pushes in the returned one-entry list."""
+    """Count the walk's steps, one per pushed level, in the returned
+    one-entry list."""
     pushes = [0]
     real = enumeration.greedy_step
 
     def counting(forbidden, n):
-        push = real(forbidden, n)
+        step = real(forbidden, n)
 
-        def counted(v, stack, blocked):
+        def counted(v, d, stack, blocked):
             pushes[0] += 1
-            push(v, stack, blocked)
+            return step(v, d, stack, blocked)
 
         return counted
 

@@ -261,11 +261,12 @@ def _check_blocked_masks(forbidden, values, pinned=False):
     for c in values:
         if not backtrack_contains((c,) + tuple(reversed(stack)), forbidden, pinned):
             stack.append(c)
-    push = greedy_step(forbidden, len(values))
+    step = greedy_step(forbidden, len(values))
     built, blocked = [], [0]
     for c in stack:
         assert not blocked[-1] >> c & 1  # c lands on top of built
-        push(c, built, blocked)
+        blocked.append(step(c, len(built), built, blocked))
+        built.append(c)
     assert built == stack and len(blocked) == len(stack) + 1
     for d, mask in enumerate(blocked):
         below = tuple(reversed(stack[:d]))
