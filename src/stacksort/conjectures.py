@@ -6,7 +6,8 @@ permutations avoiding 3412, and ascent sequences avoiding the word pattern
 explorer also tabulates one statistic pair per family and compares the joint
 distributions, reporting (not asserting) whether they coincide.  The first
 two families are prefix-closed and each is listed by one pruned walk of the
-prefix tree, `enumeration.prefix_walk`.
+prefix tree, `enumeration.prefix_walk`.  The third is grown pruned too: one
+interval mask per prefix cuts every letter that would end a 201.
 
 Statistic conventions for ascent sequences are not forced by anything, so
 the right-to-left minima counter takes a strict/weak knob; reports always
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 from .bivincular import FISHBURN_PATTERN, contains_bivincular
 from .enumeration import PruneHook, prefix_walk, sortable_permutations
 from .machine import check_forbidden
-from .perms import Perm, all_perms, match
+from .perms import Perm, all_perms
 
 Word = tuple[int, ...]
 
@@ -71,18 +72,43 @@ def ascent_sequences(n: int) -> Iterator[Word]:
         ascents[i + 1 :] = [ascents[i]] * (n - 1 - i)
 
 
-def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    """Subsequence containment for words: order-isomorphic with equalities
-    respected."""
-    return next(match(word, pattern), None) is not None
-
-
 def ascent_sequences_avoiding(n: int, pattern: Sequence[int]) -> Iterator[Word]:
-    """Ascent sequences of length n with no subsequence matching pattern."""
-    pattern = tuple(pattern)
-    for seq in ascent_sequences(n):
-        if not word_contains(seq, pattern):
-            yield seq
+    """Ascent sequences of length n with no subsequence matching the word
+    pattern 201, in lexicographic order; ValueError for any other pattern.
+
+    Grown pruned, one loop: appending y ends a 201 exactly when y lies
+    strictly inside (x, z) for some z that comes before x, so one mask per
+    prefix, the union of those intervals, cuts every such y.  Appending w adds
+    the interval (w, max so far).  0 is never cut, so every kept prefix
+    extends to a kept sequence."""
+    if tuple(pattern) != (2, 0, 1):
+        raise ValueError("only the word pattern 201 is supported")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _avoiding_201(n)
+
+
+def _avoiding_201(n: int) -> Iterator[Word]:
+    # after seq[: i + 1]: its ascents, its largest letter and the cut mask
+    seq, ascents, top, cut = [0] * n, [0] * n, [0] * n, [0] * n
+    while True:
+        yield tuple(seq)
+        i = n - 1
+        while i:  # the next letter y above seq[i] that is at most ascents + 1 and not cut
+            grow = ((4 << ascents[i - 1]) - 1) & -(2 << seq[i]) & ~cut[i - 1]
+            if grow:
+                break
+            i -= 1
+        else:
+            return
+        y = (grow & -grow).bit_length() - 1
+        m = max(top[i - 1], y)
+        seq[i], ascents[i], top[i] = y, ascents[i - 1] + (y > seq[i - 1]), m
+        cut[i] = cut[i - 1] | (1 << m) - (2 << y) if m > y else cut[i - 1]
+        # the rest is all 0s, each adding the interval (0, m)
+        rest = n - 1 - i
+        seq[i + 1 :], ascents[i + 1 :] = [0] * rest, [ascents[i]] * rest
+        top[i + 1 :], cut[i + 1 :] = [m] * rest, [cut[i] | (1 << m) - 2] * rest
 
 
 def zeros(seq: Sequence[int]) -> int:

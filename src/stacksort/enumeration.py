@@ -32,10 +32,13 @@ sequence:
 A kept leaf needs no further check.  Leaves come out lazily in
 lexicographic input order.  Profiles are sums over one whole walk of
 `sortable_pairs`; `count_sortable` and `fertility` run the same walk with
-no input or output tuples, and count the leaves it keeps.  Every walk runs
-serially in the calling process.  The walk is not tied to the machine's own
-questions: `conjectures.fishburn_avoiding` lists a prefix-closed family by
-the same walk with its own hook.
+no input or output tuples, and count the leaves it keeps.  The greedy rule
+reads only relative order, so a node whose prefix holds exactly 1..j holds
+that shorter input's own machine state: `every_length_pairs` lists the
+inputs of every length up to n, with their outputs, from one walk.  Every
+walk runs serially in the calling process.  The walk is not tied to the
+machine's own questions: `conjectures.fishburn_avoiding` lists a
+prefix-closed family by the same walk with its own hook.
 """
 
 from __future__ import annotations
@@ -70,11 +73,24 @@ def catalan(n: int) -> int:
 
 
 def prefix_walk(
-    forbidden: Perm, n: int, hook: PruneHook, state: object, pairs: bool = True
+    forbidden: Perm,
+    n: int,
+    hook: PruneHook,
+    state: object,
+    pairs: bool = True,
+    every_length: bool = False,
 ) -> Iterator[Pair | int]:
     """Yield (input, first-pass output) for every input of length n that the
     hook keeps, in lexicographic input order.  With pairs false, build no
-    input or output tuple and yield once: the number of leaves kept.
+    input or output tuple and yield once: the number of leaves kept.  With
+    every_length (pairs only), also yield (q, first-pass output) for every
+    kept node whose prefix q holds exactly the values 1..len(q), 0 < len(q)
+    < n: such a node holds q's own machine state, as the greedy rule reads
+    only relative order, so q's output is the node's out followed by its
+    stack read top down.  Each length comes out in lexicographic order, the
+    lengths interleaved.  Only the first child v of a node can be one, when
+    the node's other free values are exactly len(q) + 1..n; at a node with
+    two free values, v is one when the other value is n.
 
     One loop, no recursion, over the nodes with at least two free values.
     `frames` holds one saved frame per node above the current one: (free
@@ -117,14 +133,17 @@ def prefix_walk(
                     e = d
                     while blocked[e] >> w & 1:
                         e -= 1
-                if not leaf(w, e, v, d, stack, child):
-                    continue
                 if pairs:
+                    if every_length and w == n:  # prefix + (v,) holds 1..n - 1
+                        popped, below = stack[d:][::-1], stack[:d][::-1]
+                        yield prefix + (v,), out + tuple(popped) + (v,) + tuple(below)
+                    if not leaf(w, e, v, d, stack, child):
+                        continue
                     tail = stack[::-1]
                     tail.insert(top - d, v)
                     tail.insert(top + 1 - e, w)
                     yield prefix + (v, w), out + tuple(tail)
-                else:
+                elif leaf(w, e, v, d, stack, child):
                     kept += 1
             i = 2  # done: resume the parent
         while i < left:
@@ -140,6 +159,8 @@ def prefix_walk(
                     if d < top:  # stack[d:] leaves, top first
                         out += tuple(stack[d:])[::-1]
                     prefix += (v,)
+                    if every_length and i == 1 and free[1] == n + 2 - left:
+                        yield prefix, out + (v,) + tuple(stack[:d][::-1])
                 mask = step(v, d, stack, blocked)
                 stack, blocked = stack[:d], blocked[: d + 1]
                 stack.append(v)
@@ -224,9 +245,11 @@ _SORTABLE = PruneHook(_no_231, _no_231_leaf)
 _ALL_OUTPUTS = PruneHook(_never, _never_leaf)
 
 
-def _sortable_walk(n: int, forbidden: Perm, pairs: bool) -> Iterator[Pair | int]:
+def _sortable_walk(
+    n: int, forbidden: Perm, pairs: bool, every_length: bool = False
+) -> Iterator[Pair | int]:
     forbidden = check_forbidden(forbidden, n)
-    return prefix_walk(forbidden, n, _SORTABLE, (0, 0, [(0, n + 1, 0)]), pairs)
+    return prefix_walk(forbidden, n, _SORTABLE, (0, 0, [(0, n + 1, 0)]), pairs, every_length)
 
 
 def sortable_pairs(n: int, forbidden: Perm) -> Iterator[Pair]:
@@ -244,6 +267,16 @@ def machine_outputs(n: int, forbidden: Perm) -> Iterator[Pair]:
     """(input, first-pass output) for every permutation of length n,
     lexicographic input order."""
     return prefix_walk(check_forbidden(forbidden, n), n, _ALL_OUTPUTS, ())
+
+
+def every_length_pairs(n: int, forbidden: Perm, sortable: bool = False) -> Iterator[Pair]:
+    """The pairs of machine_outputs(j, forbidden), or of sortable_pairs(j,
+    forbidden) when sortable, for every j = 1..n (j = 0 for n = 0), from one
+    walk of length n: lexicographic within each length, the lengths
+    interleaved."""
+    if sortable:
+        return _sortable_walk(n, forbidden, True, True)
+    return prefix_walk(check_forbidden(forbidden, n), n, _ALL_OUTPUTS, (), True, True)
 
 
 def count_sortable(n: int, forbidden: Perm) -> int:

@@ -3,15 +3,17 @@ formulas and reference sequences, at desk scale.
 
 Every check pits a predicate or closed form against exhaustive enumeration
 and reports one line per instance: "<id> | <pattern> | <n> | PASS/FAIL".
-Each machine (pattern, n) is walked once per run: `sortables` keeps its
-sortable inputs, the profile of their first-pass outputs and, up to
-n = LEMMA_N, LEM 2.1's first counterexamples in one table, which every
-check on that machine reads.  Containment comes from one table of pattern
-masks up to n = TABLE_N and |tau| = TABLE_K, and from `contains` beyond: a
-class within the table is one AND of each mask with its basis bits.
-`verify_theorems` drops the tables of earlier runs on entry.  The
-anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read one scan of the
-permutations of each length.  Every suite raises ValueError for max_n < 0.
+Each machine is walked once per run for every length n <= max_n at once
+(`_machine`): a node of a walk whose prefix holds exactly 1..j holds that
+input's own machine state.  For each n the table keeps the sortable inputs,
+the profile of their first-pass outputs and, up to n = LEMMA_N, LEM 2.1's
+first counterexamples (`sortables`), which every check on that machine
+reads.  Containment comes from one table of pattern masks up to n = TABLE_N
+and |tau| = TABLE_K, and from `contains` beyond: a class within the table
+is one AND of each mask with its basis bits.  `verify_theorems` drops the
+tables of earlier runs on entry.  The anchored-132 claims (THM 3.3, COR 3.2,
+LEM 3.1) read one scan of the permutations of each length.  Every suite
+raises ValueError for max_n < 0.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = witness_n(k) for a pattern of
@@ -41,10 +43,10 @@ from .conjectures import KINDS, first_mismatch, fishburn_permutations, joint_dis
 from .enumeration import (
     catalan,
     count_sortable_123_formula,
+    every_length_pairs,
     gamma_decomposition_123,
-    machine_outputs,
-    sortable_pairs,
 )
+from .machine import check_forbidden
 from .perms import (
     Perm,
     all_perms,
@@ -142,19 +144,22 @@ _BITS = {
 }
 
 
-def _deletions(p: Perm) -> Iterator[Perm]:
-    """The patterns of p one entry shorter, one per deleted position."""
-    return (tuple(x - (x > v) for x in p[:i] + p[i + 1 :]) for i, v in enumerate(p))
+def _deletions(p: Perm, positions: int | None = None) -> Iterator[Perm]:
+    """The patterns of p one entry shorter, one per deleted position: every
+    position, or the first `positions` of them."""
+    return (tuple(x - (x > v) for x in p[:i] + p[i + 1 :]) for i, v in enumerate(p[:positions]))
 
 
 @lru_cache(maxsize=None)
 def _masks(n: int) -> dict[Perm, int]:
     """The mask of the patterns each permutation of length n contains: its own
-    bit OR the masks of its one-entry deletions, as pattern classes are downsets."""
+    bit OR the masks of its first TABLE_K + 1 one-entry deletions.  Pattern
+    classes are downsets, and an occurrence of a pattern of length <= TABLE_K
+    misses one of any TABLE_K + 1 positions, so those deletions hold it."""
     smaller = _masks(n - 1) if n else {}
     table = {p: _BITS.get(p, 0) for p in all_perms(n)}
     for p in table:
-        for q in _deletions(p):
+        for q in _deletions(p, TABLE_K + 1):
             table[p] |= smaller[q]
     return table
 
@@ -168,32 +173,58 @@ def _contains(p: Perm, tau: Perm) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _machine(forbidden: Perm, max_n: int) -> tuple[tuple[tuple, tuple, tuple | None], ...]:
+    """sortables(n, forbidden) for every n = 0..max_n, from at most two
+    walks.  For a pattern of length 3 or more, one walk of length
+    min(max_n, LEMMA_N) visits every input of each length up to it, for the
+    lemma; the lengths beyond LEMMA_N, and every length of a pattern of
+    length 2, come from one walk of length max_n that visits only the
+    sortable inputs."""
+    forbidden = check_forbidden(forbidden, max_n)
+    full = min(max_n, LEMMA_N) if len(forbidden) >= 3 else 0
+    inputs: list[list[Perm]] = [[()]] + [[] for _ in range(max_n)]
+    counts: list[dict[Perm, int]] = [{(): 1}] + [{} for _ in range(max_n)]
+    lemmas: list[dict[str, Perm]] = [{} for _ in range(full + 1)]
+    if full:  # full <= LEMMA_N <= TABLE_N: the table holds every host
+        rev, swapped = reverse(forbidden), swap_first_two(forbidden)
+        rev_bit, swap_bit = _BITS.get(rev), _BITS.get(swapped)  # None beyond TABLE_K
+        tables, bit_231 = [_masks(n) for n in range(full + 1)], _BITS[(2, 3, 1)]
+        for p, out in every_length_pairs(full, forbidden):
+            n = len(p)
+            table = tables[n]
+            mask = table[out]
+            if (table[p] & rev_bit) if rev_bit else contains(p, rev):
+                if not ((mask & swap_bit) if swap_bit else contains(out, swapped)):
+                    lemmas[n].setdefault("swap", p)
+            elif out != p[::-1]:
+                lemmas[n].setdefault("rev", p)
+            if not mask & bit_231:
+                inputs[n].append(p)
+                counts[n][out] = counts[n].get(out, 0) + 1
+    if max_n > full:
+        for p, out in every_length_pairs(max_n, forbidden, sortable=True):
+            n = len(p)
+            if n > full:
+                inputs[n].append(p)
+                counts[n][out] = counts[n].get(out, 0) + 1
+    return tuple(
+        (
+            tuple(inputs[n]),
+            tuple(sorted(counts[n].items())),
+            tuple(lemmas[n].items()) if len(forbidden) >= 3 and n <= LEMMA_N else None,
+        )
+        for n in range(max_n + 1)
+    )
+
+
 def sortables(n: int, forbidden: Perm) -> tuple[tuple, tuple, tuple | None]:
-    """(inputs, profile, lemma) from one walk: the sortable inputs of length n,
+    """(inputs, profile, lemma): the sortable inputs of length n,
     lexicographic; (output, count) for their first-pass outputs, sorted by
     output; and LEM 2.1's first counterexample to each half, as (half, input)
-    pairs.  Up to n = LEMMA_N the walk visits every input, for the lemma; beyond
-    it, and for patterns of length 2, only the sortable ones, and lemma is None."""
-    inputs: list[Perm] = []
-    counts: dict[Perm, int] = {}
-    lemma = {} if len(forbidden) >= 3 and n <= LEMMA_N else None
-    rev, swapped = reverse(forbidden), swap_first_two(forbidden)
-    if lemma is not None:  # n <= LEMMA_N <= TABLE_N: the table holds every host
-        table, bit_231 = _masks(n), _BITS[(2, 3, 1)]
-        rev_bit, swap_bit = _BITS.get(rev), _BITS.get(swapped)  # None beyond TABLE_K
-    for p, out in (sortable_pairs if lemma is None else machine_outputs)(n, forbidden):
-        if lemma is not None:
-            if (table[p] & rev_bit) if rev_bit else contains(p, rev):
-                if not ((table[out] & swap_bit) if swap_bit else contains(out, swapped)):
-                    lemma.setdefault("swap", p)
-            elif out != reverse(p):
-                lemma.setdefault("rev", p)
-            if table[out] & bit_231:
-                continue
-        inputs.append(p)
-        counts[out] = counts.get(out, 0) + 1
-    lemma = None if lemma is None else tuple(lemma.items())
-    return tuple(inputs), tuple(sorted(counts.items())), lemma
+    pairs, up to n = LEMMA_N for patterns of length 3 or more, else None.
+    The suites read these off `_machine(forbidden, max_n)`, one entry per run
+    and machine."""
+    return _machine(forbidden, n)[n]
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +282,7 @@ def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResul
             is_class, basis = sort_is_class(pattern)
             if is_class:
                 for n in range(1, max_n + 1):
-                    ok = sortables(n, pattern)[0] == avoider_set(n, tuple(basis))
+                    ok = _machine(pattern, max_n)[n][0] == avoider_set(n, tuple(basis))
                     out.append(
                         CheckResult(
                             "THM 2.2",
@@ -265,7 +296,7 @@ def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResul
                 found = _first_witness(
                     range(m, witness_cap + 1),
                     lambda n: _downset_violations(
-                        sortables(n, pattern)[0], sortables(n - 1, pattern)[0]
+                        _machine(pattern, max_n)[n][0], _machine(pattern, max_n)[n - 1][0]
                     ),
                 )
                 if found:
@@ -297,7 +328,7 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
             predicted = sortables_avoid_anchored_132(pattern)
             found = _first_witness(
                 range(1, max_n + 1),
-                lambda n: filter(contains_anchored_132, sortables(n, pattern)[0]),
+                lambda n: filter(contains_anchored_132, _machine(pattern, max_n)[n][0]),
             )
             status = _witness_status(found is not None, not predicted, max_n, m)
             detail = (
@@ -351,7 +382,7 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
             effective = is_effective(pattern)
             found = _first_witness(
                 range(1, max_n + 1),
-                lambda n: (g for g, _ in sortables(n, pattern)[1] if _contains(g, pattern)),
+                lambda n: (g for g, _ in _machine(pattern, max_n)[n][1] if _contains(g, pattern)),
             )
             status = _witness_status(found is not None, not effective, max_n, m)
             detail = (
@@ -363,7 +394,7 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
             if not effective:
                 continue
             ok = all(
-                tuple(g for g, _ in sortables(n, pattern)[1])
+                tuple(g for g, _ in _machine(pattern, max_n)[n][1])
                 == avoider_set(n, ((2, 3, 1), pattern))
                 for n in range(1, max_n + 1)
             )
@@ -388,7 +419,7 @@ def _check_pass_reversal_lemma(max_len: int, max_n: int, out: list[CheckResult])
         for pattern in all_perms(m):
             bad: dict[str, Perm] = {}  # the first counterexample to each half
             for n in range(1, cap + 1):
-                for half, p in sortables(n, pattern)[2]:
+                for half, p in _machine(pattern, max_n)[n][2]:
                     bad.setdefault(half, p)
             for half, claim in claims:
                 p = bad.get(half)
@@ -407,8 +438,8 @@ def _check_123_machine(max_n: int, out: list[CheckResult]) -> None:
     forbidden = (1, 2, 3)
     for n in range(1, max_n + 1):
         formula = count_sortable_123_formula(n)
-        total = sum(c for _, c in sortables(n, forbidden)[1])
-        direct = len(sortables(n, forbidden)[0])
+        total = sum(c for _, c in _machine(forbidden, max_n)[n][1])
+        direct = len(_machine(forbidden, max_n)[n][0])
         ok = total == formula == direct
         out.append(
             CheckResult(
@@ -440,7 +471,7 @@ def _check_123_fertility_law(max_n: int, out: list[CheckResult]) -> None:
     # Reported as a finding; the grouped sum over outputs gives the closed form.
     forbidden = (1, 2, 3)
     for n in range(1, min(max_n, 7) + 1):
-        broken = _fertility_law_break(sortables(n, forbidden)[1])
+        broken = _fertility_law_break(_machine(forbidden, max_n)[n][1])
         out.append(
             CheckResult(
                 "OQ 123-fertility-law",
@@ -469,7 +500,7 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     tables at most; verify_tables, called after it, reads the tables it
     built.  Raises ValueError for max_n < 0 or max_len < 2."""
     _check_limits(max_len, max_n)
-    sortables.cache_clear()
+    _machine.cache_clear()
     avoider_set.cache_clear()
     _masks.cache_clear()
     out: list[CheckResult] = []
@@ -494,7 +525,7 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     out: list[CheckResult] = []
     for pattern, row in SORTABLE_COUNTS.items():
         for n in range(1, min(max_n, len(row)) + 1):
-            got = len(sortables(n, pattern)[0])
+            got = len(_machine(pattern, max_n)[n][0])
             want = row[n - 1]
             out.append(
                 CheckResult(
@@ -509,7 +540,7 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
         if len(pattern) > max_len:
             continue
         for n in range(1, min(max_n, len(row)) + 1):
-            got = len(sortables(n, pattern)[1])
+            got = len(_machine(pattern, max_n)[n][1])
             want = row[n - 1]
             out.append(
                 CheckResult(
@@ -520,7 +551,7 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
                     f"counted {got}, published {want}",
                 )
             )
-    seq21 = [len(sortables(n, (2, 1))[1]) for n in range(1, min(max_n, 9) + 1)]
+    seq21 = [len(_machine((2, 1), max_n)[n][1]) for n in range(1, min(max_n, 9) + 1)]
     out.append(
         CheckResult(
             "TAB sorted",
@@ -590,7 +621,9 @@ def _check_two_letter_resolution(max_n: int, out: list[CheckResult]) -> None:
     }
     m21, m12 = (
         [name for name, row in references.items() if row == counts]
-        for counts in [[len(sortables(n, pattern)[0]) for n in ns] for pattern in ((2, 1), (1, 2))]
+        for counts in [
+            [len(_machine(pattern, max_n)[n][0]) for n in ns] for pattern in ((2, 1), (1, 2))
+        ]
     )
     names = list(references)
     if references[names[0]] != references[names[1]]:  # they separate at some n <= max_n

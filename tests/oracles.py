@@ -46,6 +46,13 @@ def backtrack_contains(host, pattern, pinned=False):
     return next(backtrack_occurrences(host, pattern, pinned), None) is not None
 
 
+def word_contains(word, pattern):
+    """Subsequence containment for words: some subsequence is
+    order-isomorphic to pattern, equal letters included.  The brute side of
+    the pruned generator of ascent sequences avoiding 201."""
+    return backtrack_contains(word, pattern)
+
+
 def brute_occurrences(host, pattern, pos_adj=frozenset(), val_adj=frozenset()):
     """Every occurrence as 1-based index tuples, lexicographic: each k-subset
     of positions is tested on its own.  pos_adj and val_adj are the

@@ -12,10 +12,9 @@ from stacksort.conjectures import (
     joint_distribution,
     seq_rl_minima,
     stat,
-    word_contains,
     zeros,
 )
-from oracles import brute_fishburn_avoiders
+from oracles import brute_fishburn_avoiders, word_contains
 from stacksort.enumeration import count_sortable
 from stacksort.perms import all_perms, identity
 
@@ -94,6 +93,20 @@ def test_ascent_sequences_avoiding_201():
     assert list(ascent_sequences_avoiding(1, (2, 0, 1))) == [(0,)]
     assert sum(1 for _ in ascent_sequences_avoiding(3, (2, 0, 1))) == 5
     assert sum(1 for _ in ascent_sequences_avoiding(6, (2, 0, 1))) == 201
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pruned_201_generator_matches_the_filter(n):
+    want = [seq for seq in ascent_sequences(n) if not word_contains(seq, (2, 0, 1))]
+    assert list(ascent_sequences_avoiding(n, [2, 0, 1])) == want
+
+
+@pytest.mark.parametrize("pattern", [(1, 0), (2, 1, 0), (1, 0, 2), (0, 1, 2), ()])
+def test_ascent_sequences_avoiding_serves_only_201(pattern):
+    with pytest.raises(ValueError, match="201"):
+        ascent_sequences_avoiding(4, pattern)
+    with pytest.raises(ValueError):
+        ascent_sequences_avoiding(0, (2, 0, 1))
 
 
 def test_zeros():

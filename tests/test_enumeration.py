@@ -11,6 +11,7 @@ from stacksort.enumeration import (
     count_sortable,
     count_sortable_123_formula,
     count_sorted,
+    every_length_pairs,
     fertility,
     gamma_decomposition_123,
     machine_outputs,
@@ -162,6 +163,24 @@ def test_walks_of_a_length_5_pattern_match_naive_pass(forbidden):
         assert list(sortable_pairs(n, forbidden)) == sortables
         _check_counts(n, forbidden, passes, sortables)
     assert count_sortable(7, forbidden) == len(list(sortable_pairs(7, forbidden)))
+
+
+@pytest.mark.parametrize(
+    "forbidden",
+    [sigma for k in (2, 3, 4) for sigma in all_perms(k)]
+    + [(5, 4, 3, 1, 2), (1, 3, 2, 5, 4), (2, 3, 5, 4, 1)],
+    ids=lambda sigma: "".join(map(str, sigma)),
+)
+def test_every_length_pairs_match_the_per_length_walks(forbidden):
+    # a node whose prefix holds exactly 1..j holds that input's own machine
+    # state, and the sortable walk keeps it exactly when the input is sortable
+    for sortable, walk in ((False, machine_outputs), (True, sortable_pairs)):
+        want = {j: list(walk(j, forbidden)) for j in range(1, 8)}
+        for n in range(1, 8):
+            got = {}
+            for q, out in every_length_pairs(n, forbidden, sortable):
+                got.setdefault(len(q), []).append((q, out))
+            assert got == {j: want[j] for j in range(1, n + 1) if want[j]}
 
 
 def _whole_content_depth(forbidden, v, stack):

@@ -1,16 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
 from oracles import brute_avoiders, brute_contains
 from stacksort import verify
 from stacksort.classify import is_effective, sort_is_class
-from stacksort.enumeration import sortable_permutations, sorted_profile
+from stacksort.enumeration import machine_outputs, sortable_pairs, sorted_profile
 from stacksort.machine import is_sortable, stack_pass
-from stacksort.perms import all_perms, contains
+from stacksort.perms import all_perms, contains, reverse, swap_first_two
 from stacksort.verify import (
     CheckResult,
     _contains,
+    _machine,
     _masks,
     _witness_status,
     avoider_set,
@@ -149,18 +151,65 @@ def test_first_witness_of_41235():
     assert stack_pass((4, 1, 2, 3, 5), p) == gamma
 
 
+def _one_length(n, sigma):
+    # sortables' entry of length n from the walks of that length alone: the
+    # sortable walk for the inputs and their outputs, the full walk for the
+    # lemma
+    lemma = None
+    if len(sigma) >= 3 and n <= verify.LEMMA_N:
+        found = {}
+        for p, out in machine_outputs(n, sigma):
+            if _contains(p, reverse(sigma)):
+                if not _contains(out, swap_first_two(sigma)):
+                    found.setdefault("swap", p)
+            elif out != reverse(p):
+                found.setdefault("rev", p)
+        lemma = tuple(found.items())
+    pairs = list(sortable_pairs(n, sigma))
+    profile = tuple(sorted(Counter(out for _, out in pairs).items()))
+    return tuple(p for p, _ in pairs), profile, lemma
+
+
 def test_sortables_table_matches_both_enumerators():
+    # one walk per machine for every length, against one walk per length
     for m in (2, 3, 4):
         for sigma in all_perms(m):
-            for n in range(1, 7):
-                assert sortables(n, sigma)[:2] == (
-                    tuple(sortable_permutations(n, sigma)),
-                    tuple(sorted_profile(n, sigma).entries.items()),
-                )
+            tables = _machine(sigma, 7)
+            assert len(tables) == 8
+            for n in range(8):
+                assert tables[n] == _one_length(n, sigma), (sigma, n)
+    # past LEMMA_N the lengths come from the sortable walk, with no lemma
+    for sigma in ((2, 1), (3, 1, 2)):
+        tables = _machine(sigma, 8)
+        assert tables[:8] == _machine(sigma, 7)
+        assert tables[8] == _one_length(8, sigma)
+        assert tables[8][2] is None
+        assert sortables(8, sigma) == tables[8]
+
+
+def test_each_machine_is_walked_once_per_run(monkeypatch):
+    # verify_all(4, 7) asked for sortables(n, sigma) for n = 1..7 and each
+    # of the 32 patterns of length 2-4, one walk each: 224 walks
+    walks = []
+
+    def counting(n, forbidden, sortable=False):
+        walks.append((forbidden, n, sortable))
+        return real(n, forbidden, sortable)
+
+    real = verify.every_length_pairs
+    monkeypatch.setattr(verify, "every_length_pairs", counting)
+    try:
+        verify_theorems(4, 7)
+        verify_tables(4, 7)
+    finally:
+        _machine.cache_clear()
+    patterns = [sigma for m in (2, 3, 4) for sigma in all_perms(m)]
+    assert sorted(walks) == sorted((sigma, 7, len(sigma) == 2) for sigma in patterns)
+    assert len(walks) == 32
 
 
 def test_theorem_suite_holds_one_runs_tables():
-    caches = (sortables, avoider_set, _masks)
+    caches = (_machine, avoider_set, _masks)
     for cache in caches:
         cache.cache_clear()
     verify_theorems(3, 4)
@@ -174,6 +223,7 @@ def test_containment_table_matches_brute_force():
     taus = [tau for k in range(5) for tau in all_perms(k)]
     hosts = [p for n in range(7) for p in all_perms(n)]
     rng = random.Random(8)
+    hosts += [tuple(rng.sample(range(1, 8), 7)) for _ in range(300)]
     hosts += [tuple(rng.sample(range(1, 9), 8)) for _ in range(300)]
     for p in hosts:
         for tau in taus:
@@ -252,18 +302,18 @@ def test_containment_past_the_table_asks_contains(monkeypatch):
 def test_pass_reversal_lemma_reads_the_walk(monkeypatch):
     # 1234 avoids the reversed pattern 321 but does not come out reversed,
     # and the output given to 4321 avoids the swapped pattern 213
-    real = verify.machine_outputs
+    real = verify.every_length_pairs
     wrong = {(1, 2, 3, 4): (1, 2, 3, 4), (4, 3, 2, 1): (1, 2, 3, 4)}
 
-    def walk(n, forbidden):
-        for p, out in real(n, forbidden):
+    def walk(n, forbidden, sortable=False):
+        for p, out in real(n, forbidden, sortable):
             yield p, wrong.get(p, out) if forbidden == (1, 2, 3) else out
 
-    monkeypatch.setattr(verify, "machine_outputs", walk)
+    monkeypatch.setattr(verify, "every_length_pairs", walk)
     try:
         lines = {r.line() for r in verify_theorems(3, 4)}
     finally:
-        sortables.cache_clear()
+        _machine.cache_clear()
     assert "LEM 2.1-rev | 1 2 3 | 4 | FAIL (counterexample 1 2 3 4)" in lines
     assert "LEM 2.1-swap | 1 2 3 | 4 | FAIL (counterexample 4 3 2 1)" in lines
 
