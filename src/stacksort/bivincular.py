@@ -86,14 +86,6 @@ class FirstElementDecomposition:
     small_positions: tuple[int, ...]
     small_values: tuple[int, ...]
 
-    def reassemble(self) -> Perm:
-        out = [self.t + 1]
-        out.extend(self.blocks[0])
-        for b, block in zip(self.small_values, self.blocks[1:]):
-            out.append(b)
-            out.extend(block)
-        return tuple(out)
-
 
 def first_element_decomposition(p: Perm) -> FirstElementDecomposition:
     if not p:

@@ -53,25 +53,6 @@ def stat(p: Perm, which: str) -> int:
     return count
 
 
-def ascent_sequences(n: int) -> Iterator[Word]:
-    """All ascent sequences of length n in lexicographic order: first letter
-    0, each next letter at most one more than the number of ascents so far."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    seq, ascents = [0] * n, [0] * n  # ascents[i]: the ascents in seq[: i + 1]
-    while True:
-        yield tuple(seq)
-        i = n - 1
-        while i and seq[i] > ascents[i - 1]:
-            i -= 1
-        if not i:
-            return
-        seq[i] += 1
-        ascents[i] = ascents[i - 1] + (seq[i] > seq[i - 1])
-        seq[i + 1 :] = [0] * (n - 1 - i)
-        ascents[i + 1 :] = [ascents[i]] * (n - 1 - i)
-
-
 def ascent_sequences_avoiding(n: int, pattern: Sequence[int]) -> Iterator[Word]:
     """Ascent sequences of length n with no subsequence matching the word
     pattern 201, in lexicographic order; ValueError for any other pattern.

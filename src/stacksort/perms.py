@@ -18,14 +18,13 @@ level, in one call for a pattern of length 4 and by the search of
 about n² steps for a pattern of length 4 and at most n^(k-2) beyond,
 whatever the host.
 
-`match` lists occurrences and decides bivincular and word patterns.  It
-handles words (repeated values), position ties and value ties, accepts a
-candidate entry by one window test against the chosen entries just below,
-equal to and just above it in the pattern, looks the one candidate of a
-value-tied entry up by value, and keeps its backtracking state in lists
-rather than on the call stack, so no input length reaches the recursion
-limit.  It visits every occurrence of each prefix of the pattern, so its
-steps can grow as n^k.
+`match` lists occurrences of a permutation pattern and decides bivincular
+patterns.  It handles position ties and value ties, accepts a candidate
+entry by one window test against the chosen entries just below and just
+above it in value, looks the one candidate of a value-tied entry up by
+value, and keeps its backtracking state in lists rather than on the call
+stack, so no input length reaches the recursion limit.  It visits every
+occurrence of each prefix of the pattern, so its steps can grow as n^k.
 """
 
 from __future__ import annotations
@@ -162,18 +161,15 @@ _SCANS = {
 
 
 @functools.lru_cache(maxsize=256)
-def _windows(pattern: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+def _windows(pattern: Perm) -> tuple[tuple[int, int], ...]:
     # For each entry: the earlier entries holding the next smaller and the next
     # larger value (-1 and -2 when there is none, the sentinel slots of match's
-    # `vals`) and a shift of 0; or an earlier equal entry twice, with shift 1.
+    # `vals`).
     seen: list[tuple[int, int]] = []  # (value, index) of earlier entries, sorted
     out = []
     for m, x in enumerate(pattern):
         j = bisect.bisect_left(seen, (x,))
-        if j < len(seen) and seen[j][0] == x:
-            out.append((seen[j][1], seen[j][1], 1))
-        else:
-            out.append((seen[j - 1][1] if j else -1, seen[j][1] if j < len(seen) else -2, 0))
+        out.append((seen[j - 1][1] if j else -1, seen[j][1] if j < len(seen) else -2))
         bisect.insort(seen, (x, m))
     return tuple(out)
 
@@ -202,16 +198,17 @@ def _value_ties(
 
 def match(
     host: Sequence[int],
-    pattern: Sequence[int],
+    pattern: Perm,
     tied: AbstractSet[int] = frozenset(),
     val_tied: AbstractSet[int] = frozenset(),
 ) -> Iterator[tuple[int, ...]]:
     """Yield every occurrence of pattern in host as a tuple of 0-based
     indices, in lexicographic order.
 
-    Host and pattern are integer sequences and may repeat values (words):
-    an occurrence is a subsequence whose entries compare pairwise, equalities
-    included, as the pattern's do.  `tied` holds position adjacencies with
+    The pattern is a permutation and the host a sequence of integers; the
+    caller checks both (`occurrences` and `BivincularPattern` run `as_perm`
+    on the pattern).  An occurrence is a subsequence whose entries compare
+    pairwise as the pattern's do.  `tied` holds position adjacencies with
     the meaning of `BivincularPattern.pos_adj`: 0 pins the first entry to the
     host's first position, k pins the last entry to its last, and 0 < x < k
     makes entry x directly follow entry x - 1.  `val_tied` holds value
@@ -236,10 +233,8 @@ def match(
     last = n - 1 if k in tied else 0  # lowest index the last entry may take
     m = i = 0
     while True:
-        # Integer entries: low < x < high, or x equal to an earlier entry's
-        # value as low, high = value -/+ 1.
-        a, b, s = windows[m]
-        low, high = vals[a] - s, vals[b] + s
+        a, b = windows[m]
+        low, high = vals[a], vals[b]
         # a tie leaves one position: the first, or the one after entry m - 1
         stop = (chosen[m - 1] + 2 if m else 1) if m in tied else n - k + m + 1
         if i < last and m == k - 1:
@@ -559,9 +554,12 @@ def occurrences(host: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:
     """Yield every occurrence of pattern in host as a tuple of 1-based indices.
 
     Occurrences come out in lexicographic index order, each exactly once.
-    The pattern must be a permutation (ValueError otherwise).
+    The pattern must be a permutation and the host a sequence of distinct
+    integers, each exactly an int, as for `contains` (ValueError otherwise).
     """
     pattern = as_perm(pattern)
+    if _distinct_ints(host) is None:
+        raise ValueError("host values must be distinct integers")
     return (tuple(i + 1 for i in occ) for occ in match(host, pattern))
 
 

@@ -7,10 +7,10 @@ Each machine is walked once per run for every length n <= max_n at once
 (`_machine`): a node of a walk whose prefix holds exactly 1..j holds that
 input's own machine state.  For each n the table keeps the sortable inputs,
 the profile of their first-pass outputs and, up to n = LEMMA_N, LEM 2.1's
-first counterexamples (`sortables`), which every check on that machine
-reads.  Containment comes from one table of pattern masks up to n = TABLE_N
-and |tau| = TABLE_K, and from `contains` beyond: a class within the table
-is one AND of each mask with its basis bits.  `verify_theorems` drops the
+first counterexamples, which every check on that machine reads.
+Containment comes from one table of pattern masks up to n = TABLE_N and
+|tau| = TABLE_K, and from `contains` beyond: a class within the table is
+one AND of each mask with its basis bits.  `verify_theorems` drops the
 tables of earlier runs on entry.  The anchored-132 claims (THM 3.3, COR 3.2,
 LEM 3.1) read one scan of the permutations of each length.  Every suite
 raises ValueError for max_n < 0.
@@ -174,12 +174,18 @@ def _contains(p: Perm, tau: Perm) -> bool:
 
 @lru_cache(maxsize=None)
 def _machine(forbidden: Perm, max_n: int) -> tuple[tuple[tuple, tuple, tuple | None], ...]:
-    """sortables(n, forbidden) for every n = 0..max_n, from at most two
-    walks.  For a pattern of length 3 or more, one walk of length
-    min(max_n, LEMMA_N) visits every input of each length up to it, for the
-    lemma; the lengths beyond LEMMA_N, and every length of a pattern of
-    length 2, come from one walk of length max_n that visits only the
-    sortable inputs."""
+    """(inputs, profile, lemma) for every n = 0..max_n: the sortable inputs
+    of length n, lexicographic; (output, count) for their first-pass
+    outputs, sorted by output; and LEM 2.1's first counterexample to each
+    half, as (half, input) pairs, up to n = LEMMA_N for patterns of length 3
+    or more, else None.  The suites read entry n of one table per run and
+    machine.
+
+    The table comes from at most two walks.  For a pattern of length 3 or
+    more, one walk of length min(max_n, LEMMA_N) visits every input of each
+    length up to it, for the lemma; the lengths beyond LEMMA_N, and every
+    length of a pattern of length 2, come from one walk of length max_n
+    that visits only the sortable inputs."""
     forbidden = check_forbidden(forbidden, max_n)
     full = min(max_n, LEMMA_N) if len(forbidden) >= 3 else 0
     inputs: list[list[Perm]] = [[()]] + [[] for _ in range(max_n)]
@@ -215,16 +221,6 @@ def _machine(forbidden: Perm, max_n: int) -> tuple[tuple[tuple, tuple, tuple | N
         )
         for n in range(max_n + 1)
     )
-
-
-def sortables(n: int, forbidden: Perm) -> tuple[tuple, tuple, tuple | None]:
-    """(inputs, profile, lemma): the sortable inputs of length n,
-    lexicographic; (output, count) for their first-pass outputs, sorted by
-    output; and LEM 2.1's first counterexample to each half, as (half, input)
-    pairs, up to n = LEMMA_N for patterns of length 3 or more, else None.
-    The suites read these off `_machine(forbidden, max_n)`, one entry per run
-    and machine."""
-    return _machine(forbidden, n)[n]
 
 
 @lru_cache(maxsize=None)

@@ -46,11 +46,25 @@ def backtrack_contains(host, pattern, pinned=False):
     return next(backtrack_occurrences(host, pattern, pinned), None) is not None
 
 
-def word_contains(word, pattern):
-    """Subsequence containment for words: some subsequence is
-    order-isomorphic to pattern, equal letters included.  The brute side of
-    the pruned generator of ascent sequences avoiding 201."""
-    return backtrack_contains(word, pattern)
+def ascent_sequences(n):
+    """All ascent sequences of length n in lexicographic order: first letter
+    0, each next letter at most one more than the number of ascents so far.
+    Filtered by `backtrack_contains`, they are the brute side of the pruned
+    generator of ascent sequences avoiding 201."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    seq, ascents = [0] * n, [0] * n  # ascents[i]: the ascents in seq[: i + 1]
+    while True:
+        yield tuple(seq)
+        i = n - 1
+        while i and seq[i] > ascents[i - 1]:
+            i -= 1
+        if not i:
+            return
+        seq[i] += 1
+        ascents[i] = ascents[i - 1] + (seq[i] > seq[i - 1])
+        seq[i + 1 :] = [0] * (n - 1 - i)
+        ascents[i + 1 :] = [ascents[i]] * (n - 1 - i)
 
 
 def brute_occurrences(host, pattern, pos_adj=frozenset(), val_adj=frozenset()):

@@ -38,10 +38,16 @@ from stacksort.verify import (
     EQUINUMEROUS_COUNTS,
     SORTABLE_COUNTS,
     SORTED_COUNTS,
+    _machine,
     avoider_set,
-    sortables,
     west_two_stack_count,
 )
+
+
+def _sortables(n, pattern):
+    # (inputs, profile, lemma) of length n, as the verify suites read them:
+    # one table per machine for every length up to 8
+    return _machine(pattern, max(n, 8))[n]
 
 
 def _report(criterion, ok, extra=""):
@@ -94,7 +100,7 @@ def test_02_sortable_count_rows_extended(n):
 def test_03_sorted_count_rows():
     ok = True
     for pattern, row in SORTED_COUNTS.items():
-        got = [len(sortables(n, pattern)[1]) for n in range(1, 9)]
+        got = [len(_sortables(n, pattern)[1]) for n in range(1, 9)]
         ok = ok and got == list(row[:8])
     _report("03 sorted-count-rows", ok)
 
@@ -102,7 +108,7 @@ def test_03_sorted_count_rows():
 @pytest.mark.slow
 def test_03_sorted_count_rows_extended():
     ok = all(
-        len(sortables(9, pattern)[1]) == row[8] for pattern, row in SORTED_COUNTS.items()
+        len(_sortables(9, pattern)[1]) == row[8] for pattern, row in SORTED_COUNTS.items()
     )
     _report("03x sorted-count-rows n=9", ok)
 
@@ -124,13 +130,13 @@ def test_05_class_characterization():
             is_class, basis = sort_is_class(pattern)
             if is_class:
                 for n in range(1, 9):
-                    if sortables(n, pattern)[0] != avoider_set(n, tuple(basis)):
+                    if _sortables(n, pattern)[0] != avoider_set(n, tuple(basis)):
                         ok = False
             else:
                 found = False
                 for n in range(m, 8):
-                    smaller = frozenset(sortables(n - 1, pattern)[0])
-                    for p in sortables(n, pattern)[0]:
+                    smaller = frozenset(_sortables(n - 1, pattern)[0])
+                    for p in _sortables(n, pattern)[0]:
                         if any(
                             standardize(p[:i] + p[i + 1 :]) not in smaller
                             for i in range(n)
@@ -152,7 +158,7 @@ def test_06_anchored_avoidance_predicate():
             brute = all(
                 not contains_anchored_132(p)
                 for n in range(1, 9)
-                for p in sortables(n, pattern)[0]
+                for p in _sortables(n, pattern)[0]
             )
             ok = ok and predicted == brute
             if not predicted:
@@ -169,12 +175,12 @@ def test_07_effectiveness_characterization():
             brute = all(
                 not contains(gamma, pattern)
                 for n in range(1, 9)
-                for gamma, _ in sortables(n, pattern)[1]
+                for gamma, _ in _sortables(n, pattern)[1]
             )
             ok = ok and predicted == brute
             if predicted:
                 for n in range(1, 9):
-                    keys = tuple(g for g, _ in sortables(n, pattern)[1])
+                    keys = tuple(g for g, _ in _sortables(n, pattern)[1])
                     if keys != avoider_set(n, ((2, 3, 1), pattern)):
                         ok = False
         listed = tuple(p for p in all_perms(m) if is_effective(p))
@@ -190,7 +196,7 @@ def test_08_123_machine_closed_form():
         formula = count_sortable_123_formula(n)
         ok = ok and count_sortable(n, (1, 2, 3)) == formula
         if n <= 8:
-            ok = ok and sum(c for _, c in sortables(n, (1, 2, 3))[1]) == formula
+            ok = ok and sum(c for _, c in _sortables(n, (1, 2, 3))[1]) == formula
     _report("08 123-machine-closed-form", ok)
 
 
@@ -220,7 +226,7 @@ def test_10_3421_sortable_examples():
 def test_11_conjecture_cardinalities_and_distributions():
     ok = True
     for n in range(1, 9):
-        a = len(sortables(n, (3, 1, 2))[0])
+        a = len(_sortables(n, (3, 1, 2))[0])
         b = sum(1 for _ in ascent_sequences_avoiding(n, (2, 0, 1)))
         c = sum(1 for _ in fishburn_avoiding(n, (3, 4, 1, 2)))
         ok = ok and a == b == c == EQUINUMEROUS_COUNTS[n - 1]
@@ -236,7 +242,7 @@ def test_11_conjecture_cardinalities_and_distributions():
 def test_12_two_letter_pattern_resolution():
     matches = {}
     for pattern in ((2, 1), (1, 2)):
-        counts = [len(sortables(n, pattern)[0]) for n in range(1, 9)]
+        counts = [len(_sortables(n, pattern)[0]) for n in range(1, 9)]
         matches[pattern] = (
             counts == [len(avoider_set(n, ((2, 1, 3),))) for n in range(1, 9)],
             counts == [west_two_stack_count(n) for n in range(1, 9)],

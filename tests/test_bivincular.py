@@ -204,7 +204,11 @@ def test_first_element_decomposition_examples():
 @given(perm_strategy(7).filter(lambda p: len(p) >= 1))
 def test_first_element_decomposition_reassembles(p):
     dec = first_element_decomposition(p)
-    assert dec.reassemble() == p
+    rebuilt = [dec.t + 1, *dec.blocks[0]]
+    for b, block in zip(dec.small_values, dec.blocks[1:]):
+        rebuilt += [b, *block]
+    assert tuple(rebuilt) == p
+    assert [p[i - 1] for i in dec.small_positions] == list(dec.small_values)
     assert sorted(dec.small_values) == list(range(1, dec.t + 1))
     assert all(v > dec.t + 1 for block in dec.blocks for v in block)
     assert len(dec.blocks) == dec.t + 1

@@ -1,9 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stacksort.conjectures import (
     KINDS,
-    ascent_sequences,
     ascent_sequences_avoiding,
     equidistribution_report,
     first_mismatch,
@@ -14,7 +15,7 @@ from stacksort.conjectures import (
     stat,
     zeros,
 )
-from oracles import brute_fishburn_avoiders, word_contains
+from oracles import ascent_sequences, backtrack_contains, brute_fishburn_avoiders
 from stacksort.enumeration import count_sortable
 from stacksort.perms import all_perms, identity
 
@@ -47,6 +48,7 @@ def test_stats_match_definitions(p):
 
 
 def test_ascent_sequences_basics():
+    # the oracle that lists every ascent sequence
     assert list(ascent_sequences(1)) == [(0,)]
     assert set(ascent_sequences(3)) == {
         (0, 0, 0),
@@ -62,10 +64,15 @@ def test_ascent_sequences_basics():
 
 
 def test_ascent_sequences_do_not_recurse_per_entry():
-    # one frame however long the sequence, at the default recursion limit
-    first = ascent_sequences(1200)
-    assert next(first) == (0,) * 1200
-    assert next(first) == (0,) * 1199 + (1,)
+    # the pruned 201 generator is one loop however long the sequence
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        first = ascent_sequences_avoiding(1200, (2, 0, 1))
+        assert next(first) == (0,) * 1200
+        assert next(first) == (0,) * 1199 + (1,)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @given(st.integers(1, 7))
@@ -79,14 +86,15 @@ def test_ascent_sequences_are_valid(n):
 
 
 def test_word_contains():
-    assert word_contains((0, 1, 2), (0, 1))
-    assert word_contains((0, 1, 0), (0, 0))
-    assert not word_contains((0, 1, 2), (0, 0))
-    assert word_contains((2, 0, 1), (2, 0, 1))
-    assert word_contains((0, 1, 3, 1, 2), (2, 0, 1))  # 3,1,2
-    assert not word_contains((0, 1, 2, 3), (2, 0, 1))
-    assert word_contains((5, 5), (1, 1))
-    assert not word_contains((5, 6), (1, 1))
+    # the oracle's containment on words, equal letters included
+    assert backtrack_contains((0, 1, 2), (0, 1))
+    assert backtrack_contains((0, 1, 0), (0, 0))
+    assert not backtrack_contains((0, 1, 2), (0, 0))
+    assert backtrack_contains((2, 0, 1), (2, 0, 1))
+    assert backtrack_contains((0, 1, 3, 1, 2), (2, 0, 1))  # 3,1,2
+    assert not backtrack_contains((0, 1, 2, 3), (2, 0, 1))
+    assert backtrack_contains((5, 5), (1, 1))
+    assert not backtrack_contains((5, 6), (1, 1))
 
 
 def test_ascent_sequences_avoiding_201():
@@ -97,7 +105,7 @@ def test_ascent_sequences_avoiding_201():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pruned_201_generator_matches_the_filter(n):
-    want = [seq for seq in ascent_sequences(n) if not word_contains(seq, (2, 0, 1))]
+    want = [seq for seq in ascent_sequences(n) if not backtrack_contains(seq, (2, 0, 1))]
     assert list(ascent_sequences_avoiding(n, [2, 0, 1])) == want
 
 

@@ -181,21 +181,11 @@ def test_contains_builds_one_mask_per_host_entry(monkeypatch):
         assert 0 < grows <= len(host)
 
 
-def _sequence(max_n, word):
-    # a permutation of 1..n, or a word over the letters 0..3
-    if word:
-        return st.lists(st.integers(0, 3), max_size=max_n).map(tuple)
-    return st.integers(0, max_n).flatmap(
-        lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
-    )
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_match_lists_every_occurrence_in_order(data):
-    word = data.draw(st.booleans())
-    host = data.draw(_sequence(14, word))
-    pattern = data.draw(_sequence(5, word).filter(len))
+    host = data.draw(perm_strategy(14))
+    pattern = data.draw(perm_strategy(5, min_n=1))
     tied = data.draw(st.sets(st.integers(0, len(pattern))))
     got = [tuple(i + 1 for i in occ) for occ in match(host, pattern, tied)]
     assert got == list(brute_occurrences(host, pattern, tied))
@@ -219,8 +209,16 @@ def test_long_pattern_does_not_recurse():
         lambda: contains((3, 1, 2), (1, 1)),
         lambda: contains((3, 1, 2), (2, 3)),
         lambda: occurrences((3, 1, 2), (0, 1)),
+        lambda: occurrences((1, 1, 2), (1, 2)),
+        lambda: occurrences((1, 2.0, 3), (1, 2)),
     ],
-    ids=["contains-repeat", "contains-gap", "occurrences-range"],
+    ids=[
+        "contains-repeat",
+        "contains-gap",
+        "occurrences-range",
+        "occurrences-word-host",
+        "occurrences-float-host",
+    ],
 )
 def test_pattern_must_be_a_permutation(call):
     with pytest.raises(ValueError):

@@ -1,15 +1,15 @@
-"""The public surface: every exported name has a user, the README's library
-example gives the values it shows and its command lines parse, and importing
-the library loads no process machinery."""
+"""The library's surface: every function, class and method has a user
+outside the tests, the README's library example gives the values it shows
+and its command lines parse, and importing the library loads no process
+machinery."""
 
+import ast
 import inspect
-import io
 import os
 import re
 import shlex
 import subprocess
 import sys
-import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -27,34 +27,48 @@ from stacksort import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "stacksort").glob("*.py"))
 
 
 def _code_references(path):
-    """Names used in a module's code: strings, comments and the name being
-    defined by a def, class or top-level assignment are not counted."""
-    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
-    for prev, tok, nxt in zip(tokens, tokens[1:], tokens[2:]):
-        if tok.type != tokenize.NAME or prev.string in ("def", "class"):
-            continue
-        if tok.start[1] == 0 and nxt.string in ("=", ":"):
-            continue
-        yield tok.string
+    """Names a module's code uses: Name and Attribute nodes, f-string fields
+    included.  Imports, strings, comments and the names that a def, class
+    or assignment defines are not uses."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def _definitions(path):
+    """Every module-level function and class of a module, and every method
+    of its classes that is not a dunder, as dotted names."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}"
 
 
 def test_every_public_name_has_a_caller():
-    # Users are the library (the package's re-exports not counted), the
-    # benchmark and the README; names only the tests use belong in tests/.
-    modules = [p for p in (ROOT / "src" / "stacksort").glob("*.py") if p.name != "__init__.py"]
-    modules += (ROOT / "perfbench").glob("*.py")
-    used = Counter(name for path in modules for name in _code_references(path))
+    # Users are the library, the benchmark and the README; a name only the
+    # tests use belongs in tests/.  A method counts as used when some
+    # attribute of its name is read.
+    users = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+    used = Counter(name for path in users for name in _code_references(path))
     readme = (ROOT / "README.md").read_text()
-    unused = [
-        name
-        for name in stacksort.__all__
-        if not inspect.ismodule(getattr(stacksort, name))
-        and not used[name]
-        and not re.search(rf"\b{name}\b", readme)
-    ]
+    names = [f"{path.stem}.{name}" for path in MODULES for name in _definitions(path)]
+    names += [name for name in stacksort.__all__ if not inspect.ismodule(getattr(stacksort, name))]
+    unused = []
+    for name in names:
+        last = name.rpartition(".")[2]
+        if not used[last] and not re.search(rf"\b{last}\b", readme):
+            unused.append(name)
     assert not unused, f"no caller outside tests: {unused}"
 
 

@@ -16,7 +16,6 @@ from stacksort.verify import (
     _masks,
     _witness_status,
     avoider_set,
-    sortables,
     verify_conjectures,
     verify_tables,
     verify_theorems,
@@ -152,7 +151,7 @@ def test_first_witness_of_41235():
 
 
 def _one_length(n, sigma):
-    # sortables' entry of length n from the walks of that length alone: the
+    # the table's entry of length n from the walks of that length alone: the
     # sortable walk for the inputs and their outputs, the full walk for the
     # lemma
     lemma = None
@@ -184,12 +183,11 @@ def test_sortables_table_matches_both_enumerators():
         assert tables[:8] == _machine(sigma, 7)
         assert tables[8] == _one_length(8, sigma)
         assert tables[8][2] is None
-        assert sortables(8, sigma) == tables[8]
 
 
 def test_each_machine_is_walked_once_per_run(monkeypatch):
-    # verify_all(4, 7) asked for sortables(n, sigma) for n = 1..7 and each
-    # of the 32 patterns of length 2-4, one walk each: 224 walks
+    # one walk per machine and length would be 224 walks for verify_all(4, 7):
+    # n = 1..7 for each of the 32 patterns of length 2-4
     walks = []
 
     def counting(n, forbidden, sortable=False):
