@@ -6,21 +6,22 @@ consecutive in the host, and an element y of val_adj forces the y-th and
 (y+1)-th smallest occurrence values to be consecutive integers.  The boundary
 indices 0 and k anchor to the host's ends: 0 in pos_adj pins the occurrence
 to start at position 1, k in pos_adj pins it to end at position n, and
-symmetrically for val_adj on values 1 and n.  The pattern must be a
-permutation (ValueError otherwise); the host is not checked, and value
-adjacencies assume its values are 1..n.  The search is `perms.match`, which
-takes pos_adj as its position ties and val_adj as its value ties: an entry
-whose rank neighbour across a value tie is already placed, or whose value is
-tied to 1 or n, has one candidate, looked up by position rather than scanned
-for, and the first occurrence found answers.
+symmetrically for val_adj on values 1 and n.  The pattern and every host
+must be permutations (ValueError otherwise).  The search is `perms.match`,
+which takes pos_adj as its position ties and val_adj as its value ties: an
+entry whose rank neighbour across a value tie is already placed, or whose
+value is tied to 1 or n, has one candidate, looked up by position rather
+than scanned for, and the first occurrence found answers.
 
 The module constant ANCHORED_132 is the pattern (132, {0, 2}, {}): an
 occurrence of 132 that starts at the first entry and whose last two entries
 are adjacent.  It is decided by one linear scan, `contains_anchored_132`;
-its left-right mirror is the same scan on the reversed host.  The generic
-search serves FISHBURN_PATTERN.  A permutation avoids ANCHORED_132 exactly
-when every block of its first-element decomposition is increasing, which
-yields a product formula for the number of avoiders.
+its left-right mirror is the same scan on the reversed host.  The library's
+scans of permutations it built call the scan unchecked,
+`_contains_anchored_132`.  The generic search serves FISHBURN_PATTERN.  A
+permutation avoids ANCHORED_132 exactly when every block of its
+first-element decomposition is increasing, which yields a product formula
+for the number of avoiders.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ FISHBURN_PATTERN = BivincularPattern((2, 3, 1), frozenset({1}), frozenset({1}))
 def contains_bivincular(host: Perm, bp: BivincularPattern) -> bool:
     """True iff host has a classical occurrence of bp.pattern satisfying all
     position- and value-adjacency constraints."""
-    return next(match(host, bp.pattern, bp.pos_adj, bp.val_adj), None) is not None
+    return next(match(as_perm(host), bp.pattern, bp.pos_adj, bp.val_adj), None) is not None
 
 
 def contains_anchored_132(p: Perm) -> bool:
@@ -66,10 +67,11 @@ def contains_anchored_132(p: Perm) -> bool:
     Equivalent to contains_bivincular(p, ANCHORED_132): an occurrence of 132
     using the first entry and an adjacent pair.
     """
-    if len(p) < 3:
-        return False
-    first = p[0]
-    return any(p[j] > p[j + 1] > first for j in range(1, len(p) - 1))
+    return _contains_anchored_132(as_perm(p))
+
+
+def _contains_anchored_132(p: Perm) -> bool:
+    return any(p[j] > p[j + 1] > p[0] for j in range(1, len(p) - 1))
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,7 @@ class FirstElementDecomposition:
 
 
 def first_element_decomposition(p: Perm) -> FirstElementDecomposition:
+    p = as_perm(p)
     if not p:
         raise ValueError("cannot decompose the empty permutation")
     t = p[0] - 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivincular import contains_anchored_132
+from .bivincular import _contains_anchored_132
 from .perms import Perm, _contains_231, as_perm, reverse, swap_first_two
 
 PATTERN_132: Perm = (1, 3, 2)
@@ -64,7 +64,7 @@ def _row(pattern: Perm) -> ClassificationRow:
     # A leading 1 lies in no 231, so a non-effective swapped pattern is 1
     # followed by a 231-avoiding remainder.
     effective = swap231 or swapped[0] != 1
-    mirror = not swap231 and contains_anchored_132(reverse(pattern))
+    mirror = not swap231 and _contains_anchored_132(reverse(pattern))
     basis = None
     if not effective:
         label = LABEL_NOT_EFFECTIVE

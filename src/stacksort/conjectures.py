@@ -9,15 +9,20 @@ two families are prefix-closed and each is listed by one pruned walk of the
 prefix tree, `enumeration.prefix_walk`.  The third is grown pruned too: one
 interval mask per prefix cuts every letter that would end a 201.
 
-Statistic conventions for ascent sequences are not forced by anything, so
-the right-to-left minima counter takes a strict/weak knob; reports always
-state the active convention.
+Every statistic is one record counter, `_records`, run on the sequence read
+forwards or backwards, negated or not.  Statistic conventions for ascent
+sequences are not forced by anything, so their right-to-left minima are
+counted strictly (every later letter is larger) or weakly (none is
+smaller); reports always state the active convention.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import neg
+from typing import Iterable, Iterator, Sequence
 
 from .bivincular import FISHBURN_PATTERN, contains_bivincular
 from .enumeration import PruneHook, prefix_walk, sortable_permutations
@@ -26,30 +31,14 @@ from .perms import Perm, all_perms
 
 Word = tuple[int, ...]
 
-STAT_NAMES = ("lr_max", "rl_max", "lr_min", "rl_min")
 
-
-def stat(p: Perm, which: str) -> int:
-    """Count left-to-right / right-to-left maxima or minima of a permutation."""
-    if which not in STAT_NAMES:
-        raise ValueError(f"unknown statistic {which!r}")
-    if not p:
-        raise ValueError("statistics need a nonempty permutation")
-    seq = p if which.startswith("lr") else p[::-1]
-    if which.endswith("max"):
-        best = 0
-        count = 0
-        for v in seq:
-            if v > best:
-                best = v
-                count += 1
-        return count
-    best = len(p) + 1
-    count = 0
-    for v in seq:
-        if v < best:
-            best = v
-            count += 1
+def _records(values: Iterable[int], strict: bool = True) -> int:
+    """Left-to-right maxima of a sequence: entries above every earlier entry
+    or, with strict false, below none of them."""
+    count, best = 0, -math.inf
+    for v in values:
+        if v > best or v == best and not strict:
+            count, best = count + 1, v
     return count
 
 
@@ -90,26 +79,6 @@ def _avoiding_201(n: int) -> Iterator[Word]:
         rest = n - 1 - i
         seq[i + 1 :], ascents[i + 1 :] = [0] * rest, [ascents[i]] * rest
         top[i + 1 :], cut[i + 1 :] = [m] * rest, [cut[i] | (1 << m) - 2] * rest
-
-
-def zeros(seq: Sequence[int]) -> int:
-    return sum(1 for x in seq if x == 0)
-
-
-def seq_rl_minima(seq: Sequence[int], strict: bool = True) -> int:
-    """Right-to-left minima of a letter sequence.
-
-    Strict: every later letter is strictly greater.  Weak: no later letter
-    is strictly smaller.
-    """
-    count = 0
-    best: int | None = None
-    for x in reversed(seq):
-        if best is None or (x < best if strict else x <= best):
-            count += 1
-        if best is None or x < best:
-            best = x
-    return count
 
 
 def fishburn_permutations(n: int) -> Iterator[Perm]:
@@ -171,7 +140,7 @@ class JointDistribution:
 
 
 def joint_distribution(kind: str, n: int, minima_convention: str = "strict") -> JointDistribution:
-    """Tabulate the statistic pair of one family at length n.
+    """Tabulate the statistic pair of one family at length n >= 1.
 
     sort312: (lr_max, rl_max) over inputs the 312-machine sorts.
     fishburn3412: (lr_max, lr_min) over Fishburn permutations avoiding 3412.
@@ -180,25 +149,21 @@ def joint_distribution(kind: str, n: int, minima_convention: str = "strict") -> 
     """
     if minima_convention not in ("strict", "weak"):
         raise ValueError(f"unknown convention {minima_convention!r}")
-    counts: dict[tuple[int, int], int] = {}
-
-    def add(pair: tuple[int, int]) -> None:
-        counts[pair] = counts.get(pair, 0) + 1
-
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if kind == "sort312":
-        for p in sortable_permutations(n, (3, 1, 2)):
-            add((stat(p, "lr_max"), stat(p, "rl_max")))
+        perms = sortable_permutations(n, (3, 1, 2))
+        pairs = ((_records(p), _records(reversed(p))) for p in perms)
     elif kind == "fishburn3412":
-        for p in fishburn_avoiding(n, (3, 4, 1, 2)):
-            add((stat(p, "lr_max"), stat(p, "lr_min")))
+        perms = fishburn_avoiding(n, (3, 4, 1, 2))
+        pairs = ((_records(p), _records(map(neg, p))) for p in perms)
     elif kind == "ascent201":
         strict = minima_convention == "strict"
-        for seq in ascent_sequences_avoiding(n, (2, 0, 1)):
-            add((seq_rl_minima(seq, strict=strict), zeros(seq)))
+        seqs = ascent_sequences_avoiding(n, (2, 0, 1))
+        pairs = ((_records(map(neg, reversed(seq)), strict), seq.count(0)) for seq in seqs)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    ordered = {k: counts[k] for k in sorted(counts)}
-    return JointDistribution(kind, n, ordered, minima_convention)
+    return JointDistribution(kind, n, dict(sorted(Counter(pairs).items())), minima_convention)
 
 
 def first_mismatch(
@@ -213,6 +178,16 @@ def first_mismatch(
     return None
 
 
+def compare_families(
+    n: int, minima_convention: str = "strict"
+) -> tuple[list[JointDistribution], tuple[tuple[int, int], int, int] | None]:
+    """The joint distributions of the three KINDS at length n >= 1, and the
+    first mismatch of sort312's against fishburn3412's, then against
+    ascent201's (None when all three agree)."""
+    dists = [joint_distribution(kind, n, minima_convention) for kind in KINDS]
+    return dists, first_mismatch(dists[0], dists[1]) or first_mismatch(dists[0], dists[2])
+
+
 def equidistribution_report(max_n: int, minima_convention: str = "strict") -> list[str]:
     """Per-n blocks of "pair -> count" lines for the three families, each
     block followed by an equidistribution verdict.  Raises ValueError for
@@ -221,13 +196,12 @@ def equidistribution_report(max_n: int, minima_convention: str = "strict") -> li
         raise ValueError("n must be >= 0")
     lines = [f"ascent-sequence right-to-left minima convention: {minima_convention}"]
     for n in range(1, max_n + 1):
-        dists = [joint_distribution(kind, n, minima_convention) for kind in KINDS]
+        dists, mism = compare_families(n, minima_convention)
         lines.append(f"n = {n}")
         for dist in dists:
             lines.append(f"  {dist.kind} (total {dist.total()})")
             for pair, count in dist.counts.items():
                 lines.append(f"    {pair[0]},{pair[1]} -> {count}")
-        mism = first_mismatch(dists[0], dists[1]) or first_mismatch(dists[0], dists[2])
         if mism is None:
             lines.append("  EQUIDISTRIBUTED: yes")
         else:

@@ -494,6 +494,14 @@ def greedy_step(forbidden: Perm, n: int) -> Step:
     return step
 
 
+def _checked_pattern(host: Sequence[int], pattern: Perm) -> Perm:
+    """pattern as a permutation; ValueError unless it is one and host holds distinct ints."""
+    pattern = as_perm(pattern)
+    if _distinct_ints(host) is None:
+        raise ValueError("host values must be distinct integers")
+    return pattern
+
+
 def contains(host: Sequence[int], pattern: Perm) -> bool:
     """True iff some subsequence of host is order-isomorphic to pattern.
 
@@ -508,10 +516,8 @@ def contains(host: Sequence[int], pattern: Perm) -> bool:
     True.  Each entry is pushed once, so a pass costs about n² steps for
     k = 4 and at most n^(k-2) beyond, whatever the host.
     """
-    pattern = as_perm(pattern)
+    pattern = _checked_pattern(host, pattern)
     k, n = len(pattern), len(host)
-    if _distinct_ints(host) is None:
-        raise ValueError("host values must be distinct integers")
     if k > n:
         return False
     if k < 2:
@@ -557,10 +563,7 @@ def occurrences(host: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:
     The pattern must be a permutation and the host a sequence of distinct
     integers, each exactly an int, as for `contains` (ValueError otherwise).
     """
-    pattern = as_perm(pattern)
-    if _distinct_ints(host) is None:
-        raise ValueError("host values must be distinct integers")
-    return (tuple(i + 1 for i in occ) for occ in match(host, pattern))
+    return (tuple(i + 1 for i in occ) for occ in match(host, _checked_pattern(host, pattern)))
 
 
 def all_perms(n: int) -> Iterator[Perm]:

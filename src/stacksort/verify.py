@@ -28,8 +28,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .bivincular import (
+    _contains_anchored_132,
     avoids_anchored_132_via_blocks,
-    contains_anchored_132,
     count_anchored_132_avoiders,
 )
 from .classify import (
@@ -39,7 +39,7 @@ from .classify import (
     sort_is_class,
     sortables_avoid_anchored_132,
 )
-from .conjectures import KINDS, first_mismatch, fishburn_permutations, joint_distribution
+from .conjectures import compare_families, fishburn_permutations
 from .enumeration import (
     catalan,
     count_sortable_123_formula,
@@ -324,7 +324,7 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
             predicted = sortables_avoid_anchored_132(pattern)
             found = _first_witness(
                 range(1, max_n + 1),
-                lambda n: filter(contains_anchored_132, _machine(pattern, max_n)[n][0]),
+                lambda n: filter(_contains_anchored_132, _machine(pattern, max_n)[n][0]),
             )
             status = _witness_status(found is not None, not predicted, max_n, m)
             detail = (
@@ -347,7 +347,7 @@ def _check_anchored_132_avoiders(max_n: int, out: list[CheckResult]) -> None:
         lemmas = claims if n <= 8 else ()
         brute, broken = 0, set()
         for p in all_perms(n):
-            avoids = not contains_anchored_132(p)
+            avoids = not _contains_anchored_132(p)
             brute += avoids
             if not lemmas:
                 continue
@@ -657,15 +657,11 @@ def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> lis
                 f"counted {got}, reference {want}",
             )
         )
-    dists_by_n = [
-        [joint_distribution(kind, n, minima_convention) for kind in KINDS]
-        for n in range(1, max_n + 1)
-    ]
-    for n, dists in enumerate(dists_by_n, start=1):
+    compared = [compare_families(n, minima_convention) for n in range(1, max_n + 1)]
+    for n, (dists, _) in enumerate(compared, start=1):
         a, c, b = (dist.total() for dist in dists)
-        equal = a == b == c
         pinned = n <= len(EQUINUMEROUS_COUNTS)
-        ok = equal and (not pinned or a == EQUINUMEROUS_COUNTS[n - 1])
+        ok = a == b == c and (not pinned or a == EQUINUMEROUS_COUNTS[n - 1])
         out.append(
             CheckResult(
                 "CONJ cardinality",
@@ -676,8 +672,7 @@ def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> lis
                 + (f", published {EQUINUMEROUS_COUNTS[n - 1]}" if pinned else ""),
             )
         )
-    for n, dists in enumerate(dists_by_n[:7], start=1):
-        mism = first_mismatch(dists[0], dists[1]) or first_mismatch(dists[0], dists[2])
+    for n, (_, mism) in enumerate(compared[:7], start=1):
         out.append(
             CheckResult(
                 "CONJ equidistribution",

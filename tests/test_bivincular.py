@@ -51,6 +51,25 @@ def test_pattern_must_be_a_permutation(pattern):
         BivincularPattern(pattern, frozenset(), frozenset())
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: contains_bivincular(h, FISHBURN_PATTERN),
+        contains_anchored_132,
+        first_element_decomposition,
+        avoids_anchored_132_via_blocks,
+    ],
+    ids=["contains_bivincular", "contains_anchored_132", "decomposition", "blocks"],
+)
+@pytest.mark.parametrize(
+    "host",
+    [(2, 3, 1, 1), (1, 3, 3, 2), (0, 3, 2), (1, 2, 5), (2.0, 3, 1), (True, 3, 2), ("a",)],
+)
+def test_host_must_be_a_permutation(call, host):
+    with pytest.raises(ValueError):
+        call(host)
+
+
 def test_unconstrained_bivincular_equals_classical():
     for n in range(0, 7):
         for host in all_perms(n):

@@ -310,6 +310,17 @@ GOLDEN = [
         "a2f98f05d1b300e3e91f48bf39ba398fbb1dc5a47437b63c2c1715dfa20fa155",
     ),
     (
+        # the weak reading of an ascent sequence's right-to-left minima
+        ["explore", "--max-n", "8", "--minima-convention", "weak"],
+        0,
+        "c8b78f29a9dea448bc831ae0e9c2cf1369b62473d4a45cc3692c4514e3697d71",
+    ),
+    (
+        ["verify", "--suite", "conjectures", "--max-n", "8", "--minima-convention", "weak"],
+        0,
+        "d87c0c7dbd2723db4e0d2bc2ff7b9fe5bc5042a7586008a8953006d3caae68bc",
+    ),
+    (
         ["count", "sortable", "--sigma", "2134", "--max-n", "7"],
         0,
         "1388df96631f99882a0e8dc449bcdbde3ca941d332651bc11fc65543ce12e396",
@@ -370,6 +381,8 @@ GOLDEN = [
         "verify-theorems-4-6",
         "verify-conjectures-8",
         "explore-8",
+        "explore-8-weak",
+        "verify-conjectures-8-weak",
         "count-sortable-2134",
         "count-sorted-4123",
         "fertility-123",

@@ -1,19 +1,20 @@
+import operator
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stacksort.conjectures import (
     KINDS,
+    _records,
     ascent_sequences_avoiding,
+    compare_families,
     equidistribution_report,
     first_mismatch,
     fishburn_avoiding,
     fishburn_permutations,
     joint_distribution,
-    seq_rl_minima,
-    stat,
-    zeros,
 )
 from oracles import ascent_sequences, backtrack_contains, brute_fishburn_avoiders
 from stacksort.enumeration import count_sortable
@@ -22,28 +23,50 @@ from stacksort.perms import all_perms, identity
 FISHBURN_NUMBERS = [1, 2, 5, 15, 53, 217]
 
 
+def rl_minima(seq, strict=True):
+    # right-to-left minima as joint_distribution counts them
+    return _records(map(operator.neg, reversed(seq)), strict)
+
+
 def test_stat_examples():
-    assert stat((2, 4, 1, 3), "lr_max") == 2
-    assert stat(identity(6), "lr_max") == 6
-    assert stat((3, 2, 1), "rl_min") == 1
-    assert stat((3, 2, 1), "rl_max") == 3
-    assert stat((2, 4, 1, 3), "lr_min") == 2
-    with pytest.raises(ValueError):
-        stat((1, 2), "median")
-    with pytest.raises(ValueError):
-        stat((), "lr_max")
+    # lr_max, rl_max and lr_min as joint_distribution counts them, and rl_min
+    assert _records((2, 4, 1, 3)) == 2
+    assert _records(identity(6)) == 6
+    assert rl_minima((3, 2, 1)) == 1
+    assert _records(reversed((3, 2, 1))) == 3
+    assert _records(map(operator.neg, (2, 4, 1, 3))) == 2
+    assert _records(()) == 0
 
 
-@given(st.integers(1, 6).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)))
-def test_stats_match_definitions(p):
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)),
+    st.lists(st.integers(0, 4), min_size=1, max_size=9).map(tuple),
+)
+def test_stats_match_definitions(p, word):
     n = len(p)
-    assert stat(p, "lr_max") == sum(1 for i in range(n) if all(p[j] < p[i] for j in range(i)))
-    assert stat(p, "lr_min") == sum(1 for i in range(n) if all(p[j] > p[i] for j in range(i)))
-    assert stat(p, "rl_max") == sum(
+    assert _records(p) == sum(1 for i in range(n) if all(p[j] < p[i] for j in range(i)))
+    assert _records(map(operator.neg, p)) == sum(
+        1 for i in range(n) if all(p[j] > p[i] for j in range(i))
+    )
+    assert _records(reversed(p)) == sum(
         1 for i in range(n) if all(p[j] < p[i] for j in range(i + 1, n))
     )
-    assert stat(p, "rl_min") == sum(
-        1 for i in range(n) if all(p[j] > p[i] for j in range(i + 1, n))
+    assert rl_minima(p) == sum(1 for i in range(n) if all(p[j] > p[i] for j in range(i + 1, n)))
+    # words repeat letters: a strict record beats every earlier letter, a weak
+    # one is beaten by none; a weak right-to-left minimum has no later letter
+    # strictly smaller
+    m = len(word)
+    assert _records(word) == sum(
+        1 for i in range(m) if all(word[j] < word[i] for j in range(i))
+    )
+    assert _records(word, strict=False) == sum(
+        1 for i in range(m) if all(word[j] <= word[i] for j in range(i))
+    )
+    assert rl_minima(word) == sum(
+        1 for i in range(m) if all(word[j] > word[i] for j in range(i + 1, m))
+    )
+    assert rl_minima(word, strict=False) == sum(
+        1 for i in range(m) if all(word[j] >= word[i] for j in range(i + 1, m))
     )
 
 
@@ -118,17 +141,30 @@ def test_ascent_sequences_avoiding_serves_only_201(pattern):
 
 
 def test_zeros():
-    assert zeros((0,)) == 1
-    assert zeros((0, 1, 0)) == 2
-    assert zeros((0, 0, 0)) == 3
+    # ascent201's pairs, right-to-left minima and zeros, from the definitions:
+    # a strict minimum has no later letter at or below it, a weak one none below
+    for n in range(1, 7):
+        for convention, below in (("strict", operator.le), ("weak", operator.lt)):
+            want = Counter(
+                (
+                    sum(
+                        1
+                        for i in range(n)
+                        if not any(below(seq[j], seq[i]) for j in range(i + 1, n))
+                    ),
+                    sum(1 for x in seq if x == 0),
+                )
+                for seq in ascent_sequences_avoiding(n, (2, 0, 1))
+            )
+            assert joint_distribution("ascent201", n, convention).counts == want
 
 
 def test_seq_rl_minima_conventions():
-    assert seq_rl_minima((0, 0, 0), strict=True) == 1
-    assert seq_rl_minima((0, 0, 0), strict=False) == 3
-    assert seq_rl_minima((0, 1, 0), strict=True) == 1
-    assert seq_rl_minima((0, 1, 0), strict=False) == 2
-    assert seq_rl_minima((0, 1, 2), strict=True) == 3
+    assert rl_minima((0, 0, 0), strict=True) == 1
+    assert rl_minima((0, 0, 0), strict=False) == 3
+    assert rl_minima((0, 1, 0), strict=True) == 1
+    assert rl_minima((0, 1, 0), strict=False) == 2
+    assert rl_minima((0, 1, 2), strict=True) == 3
 
 
 def test_fishburn_counts_match_reference_numbers():
@@ -188,11 +224,18 @@ def test_joint_distribution_keys_sorted_and_convention_recorded():
         joint_distribution("ascent201", 3, "middling")
     with pytest.raises(ValueError):
         joint_distribution("sort231", 3)
+    with pytest.raises(ValueError):
+        joint_distribution("median", 3)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            joint_distribution(kind, 0)
 
 
 def test_strict_convention_matches_through_n_4():
     for n in range(1, 5):
-        dists = [joint_distribution(kind, n, "strict") for kind in KINDS]
+        dists, mism = compare_families(n, "strict")
+        assert [dist.kind for dist in dists] == list(KINDS)
+        assert mism is None
         assert first_mismatch(dists[0], dists[1]) is None
         assert first_mismatch(dists[0], dists[2]) is None
 
