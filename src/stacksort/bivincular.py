@@ -18,7 +18,8 @@ occurrence of 132 that starts at the first entry and whose last two entries
 are adjacent.  It is decided by one linear scan, `contains_anchored_132`;
 its left-right mirror is the same scan on the reversed host.  The library's
 scans of permutations it built call the scan unchecked,
-`_contains_anchored_132`.  The generic search serves FISHBURN_PATTERN.  A
+`_contains_anchored_132`.  FISHBURN_PATTERN takes a linear scan too,
+`_contains_fishburn`: an ascent (u, w) followed anywhere by u - 1.  A
 permutation avoids ANCHORED_132 exactly when every block of its
 first-element decomposition is increasing, which yields a product formula
 for the number of avoiders.
@@ -57,8 +58,25 @@ FISHBURN_PATTERN = BivincularPattern((2, 3, 1), frozenset({1}), frozenset({1}))
 
 def contains_bivincular(host: Perm, bp: BivincularPattern) -> bool:
     """True iff host has a classical occurrence of bp.pattern satisfying all
-    position- and value-adjacency constraints."""
-    return next(match(as_perm(host), bp.pattern, bp.pos_adj, bp.val_adj), None) is not None
+    position- and value-adjacency constraints.  FISHBURN_PATTERN takes its
+    linear scan, every other pattern `perms.match`."""
+    host = as_perm(host)
+    if bp == FISHBURN_PATTERN:
+        return _contains_fishburn(host)
+    return next(match(host, bp.pattern, bp.pos_adj, bp.val_adj), None) is not None
+
+
+def _contains_fishburn(p: Perm) -> bool:
+    # An ascent (u, w) sets bit u - 1 of cut, and a later u - 1 ends an
+    # occurrence (u, w, u - 1): the rule of `conjectures._fishburn_child`.
+    cut, u = 0, math.inf
+    for w in p:
+        if cut >> w & 1:
+            return True
+        if w > u:
+            cut |= 1 << u - 1
+        u = w
+    return False
 
 
 def contains_anchored_132(p: Perm) -> bool:

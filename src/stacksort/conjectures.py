@@ -83,8 +83,9 @@ def _avoiding_201(n: int) -> Iterator[Word]:
 
 def fishburn_permutations(n: int) -> Iterator[Perm]:
     """Permutations of length n avoiding the Fishburn bivincular pattern, by
-    a scan of all n! permutations: the side of `CONJ fishburn-def` that is
-    independent of fishburn_avoiding's walk."""
+    a scan of all n! permutations.  The scan applies fishburn_avoiding's cut
+    rule, so the count's check is the published Fishburn numbers (`CONJ
+    fishburn-def`), and the tests' reference is the generic `perms.match`."""
     for p in all_perms(n):
         if not contains_bivincular(p, FISHBURN_PATTERN):
             yield p

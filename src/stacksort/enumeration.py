@@ -352,7 +352,9 @@ def gamma_decomposition_123(gamma: Perm) -> tuple[int, int, int] | None:
     Returns (i, j, k) such that gamma is the values n..j+k+1 descending, then
     j..1 descending, then j+k..j+1 descending, with j >= 1 and i maximal
     among the splits realizing the same word; None when no split exists.
+    ValueError unless gamma is a nonempty permutation.
     """
+    gamma = as_perm(gamma)
     n = len(gamma)
     if n < 1:
         raise ValueError("gamma must be nonempty")

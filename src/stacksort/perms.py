@@ -8,15 +8,15 @@ Text form: entries separated by whitespace or commas ("2 4 1 3"), or a
 compact digit string ("2413") accepted on input only when n <= 9.  Output
 always uses the separated form.
 
-`contains` decides patterns of length at most 3 by O(n) scans (Knuth's 231
-watcher and a 123 scan, read reversed or negated for the other four) and
-every longer pattern by one pass of the stack's push over the host read
-right to left: `greedy_step`, the greedy rule of `machine` and
-`enumeration`, whose step returns the blocked-value mask of each pushed
-level, in one call for a pattern of length 4 and by the search of
-`_blocked_by` beyond.  The pass pushes each host entry once, so it costs
-about n² steps for a pattern of length 4 and at most n^(k-2) beyond,
-whatever the host.
+`contains` decides patterns of length 3 by O(n) scans (Knuth's 231 watcher
+and a 123 scan, read reversed or negated for the other four) and every
+other pattern by one pass of the stack's push over the host read right to
+left: `greedy_step`, the greedy rule of `machine` and `enumeration`, whose
+step returns the blocked-value mask of each pushed level, in one call for a
+pattern of length 2 or 4 and by the search of `_blocked_by` beyond.  The
+pass pushes each host entry once, so it costs O(n) steps for a pattern of
+length 2, about n² for length 4 and at most n^(k-2) beyond, whatever the
+host.
 
 `match` lists occurrences of a permutation pattern and decides bivincular
 patterns.  It handles position ties and value ties, accepts a candidate
@@ -99,15 +99,17 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(p: Sequence[int]) -> str:
+    """The separated text form; p is not checked."""
     return " ".join(str(v) for v in p)
 
 
 def reverse(p: Perm) -> Perm:
+    """p read backwards; p is not checked."""
     return p[::-1]
 
 
 def swap_first_two(p: Perm) -> Perm:
-    """The permutation with its first two entries interchanged."""
+    """p with its first two entries interchanged; p is not checked."""
     if len(p) < 2:
         raise ValueError("need length >= 2 to swap the first two entries")
     return (p[1], p[0]) + p[2:]
@@ -161,38 +163,25 @@ _SCANS = {
 
 
 @functools.lru_cache(maxsize=256)
-def _windows(pattern: Perm) -> tuple[tuple[int, int], ...]:
-    # For each entry: the earlier entries holding the next smaller and the next
-    # larger value (-1 and -2 when there is none, the sentinel slots of match's
-    # `vals`).
-    seen: list[tuple[int, int]] = []  # (value, index) of earlier entries, sorted
-    out = []
-    for m, x in enumerate(pattern):
-        j = bisect.bisect_left(seen, (x,))
-        out.append((seen[j - 1][1] if j else -1, seen[j][1] if j < len(seen) else -2))
-        bisect.insort(seen, (x, m))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=256)
-def _value_ties(
-    pattern: tuple[int, ...], val_tied: frozenset[int]
-) -> tuple[tuple[int, int, int, int] | None, ...]:
-    # For each entry of a permutation pattern: None, or (a, da, b, db) when
-    # its value must be vals[a] + da and vals[b] + db in match's `vals`.  a
-    # and b are the earlier entries next in rank whose adjacency is tied, or
-    # the slots -4 and -3 holding 0 and n + 1 for a tie to 1 or n; an entry
-    # tied once repeats its one rule.
+def _windows(pattern: Perm, val_tied: frozenset[int]) -> tuple[tuple[int, int, int], ...]:
+    # For each entry (a, b, tie): the earlier entries holding the next smaller
+    # and the next larger value (-1 and -2 when there is none, the sentinel
+    # slots of match's `vals`); an earlier rank neighbour is one of them, so
+    # bit 1 (2) of tie makes the entry one above vals[a] (below vals[b]).  A
+    # tie to 1 or n moves that end to the slot -4 or -3, holding 0 or n + 1.
     k = len(pattern)
-    index = {r: m for m, r in enumerate(pattern)}
+    seen = [(0, -1), (k + 1, -2)]  # (rank, index) of earlier entries, sorted
     out = []
     for m, r in enumerate(pattern):
-        rules = []
-        if r - 1 in val_tied and (r == 1 or index[r - 1] < m):
-            rules.append((index[r - 1] if r > 1 else -4, 1))
-        if r in val_tied and (r == k or index[r + 1] < m):
-            rules.append((index[r + 1] if r < k else -3, -1))
-        out.append(rules[0] + rules[-1] if rules else None)
+        j = bisect.bisect_left(seen, (r,))
+        (lo, a), (hi, b) = seen[j - 1], seen[j]
+        tie = 0
+        if lo == r - 1 and r - 1 in val_tied:
+            a, tie = a if r > 1 else -4, 1
+        if hi == r + 1 and r in val_tied:
+            b, tie = b if r < k else -3, tie | 2
+        out.append((a, b, tie))
+        bisect.insort(seen, (r, m))
     return tuple(out)
 
 
@@ -224,8 +213,7 @@ def match(
         yield ()
         return
     pattern = tuple(pattern)
-    windows = _windows(pattern)
-    ties = _value_ties(pattern, frozenset(val_tied)) if val_tied else None
+    windows = _windows(pattern, frozenset(val_tied))
     where = dict(zip(host, range(n))) if val_tied else {}
     chosen = [0] * k
     # host values of chosen, then the slots of ties to 1 and n and the sentinels
@@ -233,16 +221,15 @@ def match(
     last = n - 1 if k in tied else 0  # lowest index the last entry may take
     m = i = 0
     while True:
-        a, b = windows[m]
+        a, b, tie = windows[m]
         low, high = vals[a], vals[b]
         # a tie leaves one position: the first, or the one after entry m - 1
         stop = (chosen[m - 1] + 2 if m else 1) if m in tied else n - k + m + 1
         if i < last and m == k - 1:
             i = last
-        if ties and ties[m]:  # one candidate value, if both rules agree on it
-            a, da, b, db = ties[m]
-            x = vals[a] + da
-            j = where.get(x, -1) if x == vals[b] + db else -1
+        if tie:  # one candidate value: low + 1, high - 1, or both when they agree
+            x = low + 1 if tie & 1 else high - 1
+            j = where.get(x, -1) if tie < 3 or x == high - 1 else -1
             i, stop = (j, j + 1) if i <= j < stop else (stop, stop)
         for i in range(i, stop):
             if low < host[i] < high:
@@ -508,12 +495,12 @@ def contains(host: Sequence[int], pattern: Perm) -> bool:
     The pattern must be a permutation and the host a sequence of distinct
     integers, each exactly an int as in `as_perm` (ValueError otherwise, on
     every path).  The empty pattern is contained in everything.  Patterns
-    of length at most 3 take one O(n) scan.  Any longer pattern takes one
-    pass of `greedy_step`'s push over the host read right to left, with the
-    host's values ranked onto 1..n unless they are 1..n already: host[j]
-    starts an occurrence in host[j:] exactly when its bit is set in the mask
-    of the stack that holds host[j + 1:], so the first such bit answers
-    True.  Each entry is pushed once, so a pass costs about n² steps for
+    of length 3 take one O(n) scan, and every other length one pass of
+    `greedy_step`'s push over the host read right to left, with the host's
+    values ranked onto 1..n unless they are 1..n already: host[j] starts an
+    occurrence in host[j:] exactly when its bit is set in the mask of the
+    stack that holds host[j + 1:], so the first such bit answers True.  Each
+    entry is pushed once, so a pass costs O(n) steps for k = 2, about n² for
     k = 4 and at most n^(k-2) beyond, whatever the host.
     """
     pattern = _checked_pattern(host, pattern)
@@ -522,11 +509,6 @@ def contains(host: Sequence[int], pattern: Perm) -> bool:
         return False
     if k < 2:
         return True
-    if k == 2:
-        # an ascent/descent exists iff an adjacent one does
-        if pattern[0] < pattern[1]:
-            return any(host[i] < host[i + 1] for i in range(n - 1))
-        return any(host[i] > host[i + 1] for i in range(n - 1))
     if k == 3:
         scan, rev, neg = _SCANS[pattern]
         values = reversed(host) if rev else host

@@ -3,7 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_occurrences, count_anchored_132_avoiders_brute, reverse_bivincular
+from oracles import (
+    avoider_132,
+    brute_occurrences,
+    count_anchored_132_avoiders_brute,
+    reverse_bivincular,
+)
 from stacksort.bivincular import (
     ANCHORED_132,
     FISHBURN_PATTERN,
@@ -157,6 +162,29 @@ def test_anchored_132_fast_path_equals_generic_engine():
         for p in all_perms(n):
             assert contains_anchored_132(p) == contains_bivincular(p, ANCHORED_132)
             assert contains_anchored_132(reverse(p)) == contains_bivincular(p, mirrored)
+
+
+def _fishburn_by_match(p):
+    # the generic engine, called directly: contains_bivincular routes
+    # FISHBURN_PATTERN to its scan
+    return next(match(p, (2, 3, 1), {1}, {1}), None) is not None
+
+
+def test_fishburn_scan_equals_generic_engine():
+    for n in range(0, 9):
+        for p in all_perms(n):
+            assert contains_bivincular(p, FISHBURN_PATTERN) == _fishburn_by_match(p)
+
+
+@given(
+    st.one_of(
+        perm_strategy(256),
+        st.lists(st.integers(0, 255), max_size=256).map(avoider_132),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_fishburn_scan_equals_generic_engine_on_long_hosts(host):
+    assert contains_bivincular(host, FISHBURN_PATTERN) == _fishburn_by_match(host)
 
 
 def test_reverse_bivincular_formula_and_involution():

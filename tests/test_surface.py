@@ -1,5 +1,6 @@
 """The library's surface: every function, class and method has a user
-outside the tests, the README's library example gives the values it shows
+outside the tests, every public callable that takes a permutation rejects
+one that is not, the README's library example gives the values it shows
 and its command lines parse, and importing the library loads no process
 machinery."""
 
@@ -18,12 +19,32 @@ import pytest
 import stacksort
 from stacksort import (
     ANCHORED_132,
+    FISHBURN_PATTERN,
+    BivincularPattern,
+    as_perm,
+    avoids_anchored_132_via_blocks,
+    classification_row,
     cli,
+    contains,
+    contains_anchored_132,
     contains_bivincular,
     count_sortable,
+    count_sorted,
+    fertility,
+    first_element_decomposition,
+    gamma_decomposition_123,
+    is_effective,
+    is_sortable,
     machine_output,
+    machine_outputs,
+    occurrences,
+    parse_perm,
+    sort_is_class,
+    sortable_permutations,
+    sortables_avoid_anchored_132,
     sorted_profile,
     stack_pass,
+    stack_pass_traced,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +91,90 @@ def test_every_public_name_has_a_caller():
         if not used[last] and not re.search(rf"\b{last}\b", readme):
             unused.append(name)
     assert not unused, f"no caller outside tests: {unused}"
+
+
+# Inputs that are not permutations of 1..n: a repeated value, a 0, a gap,
+# and entries that are not exactly ints
+BAD = [(1, 1), (0, 1), (1, 2, 5), (2.0, 1), (True,), ("a",)]
+# A host of `contains` or `occurrences` may hold any distinct ints.
+BAD_HOSTS = [(1, 1), (2.0, 1), (True,), ("a",)]
+
+# Each public callable that takes a permutation, with one call per such
+# argument and the bad inputs that argument must reject with ValueError.
+CHECKED = {
+    "BivincularPattern": [(lambda p: BivincularPattern(p, frozenset(), frozenset()), BAD)],
+    "as_perm": [(as_perm, BAD)],
+    "avoids_anchored_132_via_blocks": [(avoids_anchored_132_via_blocks, BAD)],
+    "classification_row": [(classification_row, BAD)],
+    "contains": [
+        (lambda p: contains((3, 1, 2), p), BAD),
+        (lambda h: contains(h, (1, 2)), BAD_HOSTS),
+    ],
+    "contains_anchored_132": [(contains_anchored_132, BAD)],
+    "contains_bivincular": [(lambda h: contains_bivincular(h, FISHBURN_PATTERN), BAD)],
+    "count_sortable": [(lambda s: count_sortable(3, s), BAD)],
+    "count_sorted": [(lambda s: count_sorted(3, s), BAD)],
+    "fertility": [
+        (lambda s: fertility(s, (1, 2, 3)), BAD),
+        (lambda g: fertility((2, 3, 1), g), BAD),
+    ],
+    "first_element_decomposition": [(first_element_decomposition, BAD)],
+    "gamma_decomposition_123": [(gamma_decomposition_123, BAD)],
+    "is_effective": [(is_effective, BAD)],
+    "is_sortable": [
+        (lambda s: is_sortable(s, (2, 1, 3)), BAD),
+        (lambda p: is_sortable((2, 3, 1), p), BAD),
+    ],
+    "machine_output": [
+        (lambda s: machine_output(s, (2, 1, 3)), BAD),
+        (lambda p: machine_output((2, 3, 1), p), BAD),
+    ],
+    "machine_outputs": [(lambda s: machine_outputs(3, s), BAD)],
+    "occurrences": [
+        (lambda p: occurrences((3, 1, 2), p), BAD),
+        (lambda h: occurrences(h, (1, 2)), BAD_HOSTS),
+    ],
+    "parse_perm": [(lambda p: parse_perm(" ".join(map(str, p))), BAD)],
+    "sort_is_class": [(sort_is_class, BAD)],
+    "sortable_permutations": [(lambda s: sortable_permutations(3, s), BAD)],
+    "sortables_avoid_anchored_132": [(sortables_avoid_anchored_132, BAD)],
+    "sorted_profile": [(lambda s: sorted_profile(3, s), BAD)],
+    "stack_pass": [
+        (lambda s: stack_pass(s, (2, 1, 3)), BAD),
+        (lambda p: stack_pass((2, 3, 1), p), BAD),
+    ],
+    "stack_pass_traced": [
+        (lambda s: stack_pass_traced(s, (2, 1, 3)), BAD),
+        (lambda p: stack_pass_traced((2, 3, 1), p), BAD),
+    ],
+}
+EXEMPT = {
+    "ClassificationRow": "a result record",
+    "MachineTrace": "a type alias",
+    "Perm": "a type alias",
+    "SortedProfile": "a result record",
+    "TraceEvent": "a result record",
+    "all_perms": "takes a length",
+    "catalan": "takes a length",
+    "count_anchored_132_avoiders": "takes a length",
+    "count_sortable_123_formula": "takes a length",
+    "identity": "takes a length",
+    "format_perm": "unchecked: its callers pass checked permutations",
+    "reverse": "unchecked: classify._row calls it on checked patterns",
+    "swap_first_two": "unchecked: classify._row calls it on checked patterns",
+}
+CALLABLES = sorted(name for name in stacksort.__all__ if callable(getattr(stacksort, name)))
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+def test_public_callables_reject_what_is_not_a_permutation(name):
+    # A new public callable fails here until it is listed in CHECKED or EXEMPT.
+    assert (name in CHECKED) != (name in EXEMPT), f"classify {name} in CHECKED or EXEMPT"
+    for call, bad_inputs in CHECKED.get(name, []):
+        call((2, 3, 1))  # the call itself is well formed
+        for bad in bad_inputs:
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 def test_readme_library_example():
