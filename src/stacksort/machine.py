@@ -30,12 +30,12 @@ entries would start one, for a forbidden pattern of any length: a push test
 reads one bit, a pop drops the top level, and a push of c adds the values
 that c would become the second entry for.  The 21 and 12 stacks keep one
 small mask per level, the values that the entry of that level blocks.  For
-longer patterns, above bit n the same mask carries the values of the bottom
-d entries, so the values below any stack entry are one shift of its level's
-mask.  For length 3 the step reads the third entry off the top mask in a
-few big-int operations; for longer patterns it looks its candidate entries
-up by value, not by a scan of the stack, in one call for length 4 and by
-the search of `perms._blocked_by` beyond.
+longer patterns the step also keeps a table indexed by value of the values
+below each stack entry, written at its push from the entry it lands on.
+For length 3 the step reads the third entry off that table in a few
+big-int operations; for longer patterns it looks its candidate entries up
+by value, not by a scan of the stack, in one call for length 4 and by the
+search of `perms._blocked_by` beyond.
 
 The public functions check the forbidden pattern and the input permutation
 once per call and raise ValueError on anything else.

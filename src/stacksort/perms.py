@@ -267,26 +267,25 @@ def _levels(forbidden: Perm) -> tuple[tuple, ...]:
 
 
 def _blocked_by(
-    forbidden: Perm, n: int, at: list[int]
-) -> Callable[[int, int, list[int], list[int]], int]:
+    forbidden: Perm, n: int, under: list[int]
+) -> Callable[[int, int, list[int], int], int]:
     """For a pattern of length k >= 5 and values 1..n: the function
-    (c, d, stack, blocked) -> the mask of the values v whose push onto
+    (c, d, stack, seen) -> the mask of the values v whose push onto
     stack[:d] + [c] would complete an occurrence (v, c, e3, ..., ek), read
-    top to bottom; the bits of c and of the values in stack[:d] do not
-    matter.  It reads only stack[:d] and blocked[:d + 1].
+    top to bottom, where seen is the mask of the values of stack[:d]; the
+    bits of c and of those values do not matter.  It reads only stack[:d].
 
-    blocked is the stack's mask list and at its index table
-    (`greedy_step`): blocked[i] >> (n + 1) is the mask of the values
-    of stack[:i], and at[a] the index of a value a on the stack.  x[r] is the
-    value of the entry of rank r (x[0] = 0, x[k + 1] = n + 1), strictly
-    inside its window (`_levels`).
+    under is the step's per-value table (`greedy_step`): under[a] is the
+    mask of the values below a value a on the stack.  x[r] is the value of
+    the entry of rank r (x[0] = 0, x[k + 1] = n + 1), strictly inside its
+    window (`_levels`).
 
     `last` takes the candidates for e(k-1) as a mask of values and reads the
-    values below each candidate a at blocked[at[a]]; ek is the extremal of
-    those in ek's window, the smallest if ek bounds v from below, else the
-    largest (any other gives a subinterval).  An entry next in rank to its
-    window's upper (lower) end bounds no later entry from below (above), so
-    each value it tries rules out the smaller (larger) ones deeper down: the
+    values below each candidate a at under[a]; ek is the extremal of those
+    in ek's window, the smallest if ek bounds v from below, else the largest
+    (any other gives a subinterval).  An entry next in rank to its window's
+    upper (lower) end bounds no later entry from below (above), so each
+    value it tries rules out the smaller (larger) ones deeper down: the
     candidates are then taken from that end, and only those above each one
     tried stay.  When ek does not bound v, the first hit in that order (from
     the end that widens v's window, if e(k-1) bounds it) blocks every v
@@ -302,7 +301,6 @@ def _blocked_by(
     s1, s2 = forbidden[0], forbidden[1]
     v_lo, v_hi = s1 - 1, s1 + 1  # x[v_lo] < x[v_hi] in every occurrence
     x = [0] * (k + 1) + [n + 1]
-    shift = n + 1
     levels = _levels(forbidden)
     m = k - 3  # the number of middle entries
     sz, z_lo, z_hi = levels[-1][:3]  # ek: the smallest if sz < s1, else the largest
@@ -310,35 +308,36 @@ def _blocked_by(
     down = in_hi == s_in + 1 or s_in == s1 + 1  # the largest candidate first
     cut = in_hi == s_in + 1 or in_lo == s_in - 1
     first = sz not in (v_lo, v_hi)  # ek does not bound v: stop at a hit
+    low, high = _window_tables(n + 2)
+    rest = low if down else high  # the candidates after a
 
-    def last(cand: int, blocked: list[int]) -> int:  # e(k-1) among the values cand
+    def last(cand: int) -> int:  # e(k-1) among the values cand
         mask = 0
         while cand:
             x[s_in] = a = cand.bit_length() - 1 if down else (cand & -cand).bit_length() - 1
-            seen = blocked[at[a]] >> shift  # the values below a
-            w = seen & (1 << x[z_hi]) - (2 << x[z_lo])
+            seen = under[a]
+            w = seen & low[x[z_hi]] & high[x[z_lo]]
             if w:
                 x[sz] = (w & -w).bit_length() - 1 if sz < s1 else w.bit_length() - 1
-                mask |= (1 << x[v_hi]) - (2 << x[v_lo])
+                mask |= low[x[v_hi]] & high[x[v_lo]]
                 if first:
                     return mask
-            cand ^= 1 << a
+            cand &= rest[a]
             if cut:
                 cand &= ~seen
         return mask
 
     def fits(t: int, seen: int, mask: int) -> bool:  # seen: the values below level t
         _, _, _, vlo_r, vhi_r, after = levels[t]
-        if not (1 << x[vhi_r]) - (2 << x[vlo_r]) & ~mask:
+        if not low[x[vhi_r]] & high[x[vlo_r]] & ~mask:
             return False
         for lo, hi in after:
-            if not seen & (1 << x[hi]) - (2 << x[lo]):
+            if not seen & low[x[hi]] & high[x[lo]]:
                 return False
         return True
 
-    def grow(c: int, d: int, stack: list[int], blocked: list[int]) -> int:
+    def grow(c: int, d: int, stack: list[int], seen: int) -> int:
         x[s2] = c
-        seen = blocked[d] >> shift
         mask = seen | 1 << c
         if not fits(0, seen, mask):
             return mask
@@ -346,7 +345,7 @@ def _blocked_by(
         t, i, lo, hi = 1, d, x[levels[1][1]], x[levels[1][2]]
         while True:
             if t == m:  # stack[:i] lies below the entry of level m - 1
-                mask |= last(blocked[i] >> shift & (1 << hi) - (2 << lo), blocked)
+                mask |= last(under[stack[i]] & low[hi] & high[lo])
             else:
                 s, lo_r, hi_r, _, _, after = levels[t]
                 i -= 1
@@ -354,7 +353,7 @@ def _blocked_by(
                     if lo < stack[i] < hi:
                         x[s] = a = stack[i]
                         lo, hi = a if hi_r == s + 1 else lo, a if lo_r == s - 1 else hi
-                        if fits(t, blocked[i] >> shift, mask):
+                        if fits(t, under[a], mask):
                             break
                     i -= 1
                 if i > m - t:  # descend from stack[i]
@@ -368,6 +367,26 @@ def _blocked_by(
             t -= 1
 
     return grow
+
+
+_WINDOW_TABLES: tuple[list[int], list[int]] = ([], [])
+
+
+def _window_tables(size: int) -> tuple[list[int], list[int]]:
+    """(low, high), shared by every step and at least size long: low[a] =
+    (1 << a) - 1 is the mask of the values below a, high[a] that of the
+    values above a up to the tables' length.  A larger size builds tables at
+    least twice as long and swaps them in whole, so a step keeps reading the
+    tables it took."""
+    global _WINDOW_TABLES
+    low, high = _WINDOW_TABLES
+    if len(low) < size:
+        size = max(size, 2 * len(low))
+        full = (1 << size) - 1
+        low = [(1 << a) - 1 for a in range(size)]
+        high = [full ^ (2 << a) - 1 for a in range(size)]
+        _WINDOW_TABLES = low, high
+    return low, high
 
 
 Step = Callable[[int, int, list[int], list[int]], int]
@@ -389,24 +408,28 @@ def greedy_step(forbidden: Perm, n: int) -> Step:
     the push of v onto stack[:d] is illegal (bits of stack[:d] do not
     matter), so each push test is one bit.  For a pattern of length 2 the
     top entry c alone decides, and the mask of c is the values it blocks,
-    -2 << c (every value above c) for 21 and (1 << c) - 1 for 12; its bits
-    above n carry no stack values.  For k >= 3, bit n + 1 + a of blocked[d]
-    is set when a is in stack[:d], and the mask of c is blocked[d] with the
-    values that c would start to block and with c's own high bit.
+    -2 << c (every value above c) for 21 and (1 << c) - 1 for 12.  For
+    k >= 3 the mask of v is blocked[d] with the values that v would start
+    to block as the second entry of an occurrence.
 
-    For k = 3 the entry c is the second entry of every occurrence it
-    starts, and the third is one of the values below c, the high bits of
-    blocked[d]: the extremal one in its window beside c, the smallest if it
-    bounds v from below, else the largest.  So the step is one call of a few
-    big-int operations.  For k >= 4 the step also records at[c] = d, c's
-    stack index, in a table of this step's own, so the values below any
-    entry a are blocked[at[a]] >> (n + 1).  For k = 4 the step is again one
-    call: it runs `_blocked_by`'s candidate loop itself over the values
-    below c in e3's window, a few big-int operations per candidate.  For
-    k >= 5 the values come from `_blocked_by`.  The index table's entry
-    stays right while c is on the stack: a pass pushes each value once, and
-    the prefix-tree walk steps no value again below the node that pushed
-    it, so every step reads correct indices of the values in stack[:d].
+    For k >= 3 the step keeps a table of its own, indexed by value: under[v]
+    is the mask of the values below v on the stack, written when v lands
+    on the entry c, as under[c] | 1 << c (0 at the bottom).  A pass pushes
+    each value once, and the prefix-tree walk steps no value again below
+    the node that pushed it, so under[a] is right for every value a in
+    stack[:d] when the step reads it.  Its windows, the masks of the values
+    below, above or between given values, come from `_window_tables`.
+
+    For k = 3 the third entry of an occurrence is one of the values below
+    v: the extremal one in its window beside v, the smallest if it bounds
+    the new value from below, else the largest, so the step is a few
+    big-int operations.  For k = 4 the step runs `_blocked_by`'s candidate
+    loop itself over the values below v in e3's window, a few big-int
+    operations per candidate.  It tries only the entries that can be e3:
+    e4's window lies on one side of e3, so e3 needs a deeper entry on that
+    side.  A second table, deep[v], holds the values below v that have one:
+    deep[c], with c added when under[c] holds a value on that side of c.
+    For k >= 5 the values come from `_blocked_by`.
     """
     k = len(forbidden)
     if k == 2:
@@ -421,62 +444,80 @@ def greedy_step(forbidden: Perm, n: int) -> Step:
                 return (1 << v) - 1
 
         return step
-    shift = n + 1
+    under = [0] * (n + 1)  # the values below each value on the stack
+    low, high = _window_tables(n + 2)
     if k == 3:
         s1, s2, s3 = forbidden
         v_lo, v_hi = s1 - 1, s1 + 1  # the ranks at the ends of v's window
-        above = s3 > s2  # e3 lies above c
+        e3_side = high if s3 > s2 else low  # e3's side of the pushed value
         smallest = s3 < s1  # e3 bounds v from below
         x = [0] * 4 + [n + 1]  # the value of each rank, as in `_blocked_by`
 
         def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
             top = blocked[d]
-            w = top >> shift & (-2 << v if above else (1 << v) - 1)
+            if not d:
+                under[v] = 0
+                return top
+            c = stack[d - 1]
+            w = under[v] = under[c] | 1 << c
+            w &= e3_side[v]
             if w:
                 x[s2] = v
                 x[s3] = (w & -w).bit_length() - 1 if smallest else w.bit_length() - 1
-                top |= (1 << x[v_hi]) - (2 << x[v_lo])
-            return top | 1 << v + shift
+                top |= low[x[v_hi]] & high[x[v_lo]]
+            return top
 
         return step
-    at = [0] * (n + 1)  # the stack index of each value on the stack
     if k == 4:
         s1, s2, s3, s4 = forbidden
         v_lo, v_hi = s1 - 1, s1 + 1
-        above = s3 > s2  # e3 lies above c
+        e3_side = high if s3 > s2 else low  # e3's side of the pushed value
+        e4_side = high if s4 > s3 else low  # e4's side of e3
         smallest = s4 < s1  # e4 bounds v from below
         _, (_, in_lo, in_hi, *_), (_, z_lo, z_hi, *_) = _levels(forbidden)
         down = in_hi == s3 + 1 or s3 == s1 + 1  # the largest candidate first
+        rest = low if down else high  # the candidates after a
         cut = in_hi == s3 + 1 or in_lo == s3 - 1
         first = s4 not in (v_lo, v_hi)  # e4 does not bound v: stop at a hit
         x = [0] * 5 + [n + 1]
+        deep = [0] * (n + 1)  # the values below each value that can be e3
 
         def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
-            at[v] = d
             top = blocked[d]
-            cand = top >> shift & (-2 << v if above else (1 << v) - 1)  # for e3, below c
+            if not d:
+                under[v] = deep[v] = 0
+                return top
+            c = stack[d - 1]
+            seen = under[c]
+            under[v] = seen | 1 << c
+            cand = deep[v] = deep[c] | 1 << c if seen & e4_side[c] else deep[c]
+            cand &= e3_side[v]
             if cand:
                 x[s2] = v
                 while cand:
                     x[s3] = a = cand.bit_length() - 1 if down else (cand & -cand).bit_length() - 1
-                    seen = blocked[at[a]] >> shift  # the values below a
-                    w = seen & (1 << x[z_hi]) - (2 << x[z_lo])
+                    seen = under[a]
+                    w = seen & low[x[z_hi]] & high[x[z_lo]]
                     if w:
                         x[s4] = (w & -w).bit_length() - 1 if smallest else w.bit_length() - 1
-                        top |= (1 << x[v_hi]) - (2 << x[v_lo])
+                        top |= low[x[v_hi]] & high[x[v_lo]]
                         if first:
                             break
-                    cand ^= 1 << a
+                    cand &= rest[a]
                     if cut:
                         cand &= ~seen
-            return top | 1 << v + shift
+            return top
 
         return step
-    grow = _blocked_by(forbidden, n, at)
+    grow = _blocked_by(forbidden, n, under)
 
     def step(v: int, d: int, stack: list[int], blocked: list[int]) -> int:
-        at[v] = d
-        return blocked[d] | grow(v, d, stack, blocked) | 1 << v + shift
+        if not d:
+            under[v] = 0
+            return blocked[0]
+        c = stack[d - 1]
+        seen = under[v] = under[c] | 1 << c
+        return blocked[d] | grow(v, d, stack, seen)
 
     return step
 

@@ -281,6 +281,8 @@ def _check_blocked_masks(forbidden, values, pinned=False):
 @settings(max_examples=300, deadline=None)
 def test_blocked_masks_match_whole_content_check(forbidden, values):
     _check_blocked_masks(forbidden, values)
+    if len(forbidden) == 4:  # a stack that only grows, where the e3 prune skips most
+        _check_blocked_masks(forbidden, identity(len(values))[::-1])
 
 
 @given(
@@ -387,11 +389,20 @@ def _match_pass(forbidden, p):
 @pytest.mark.parametrize("forbidden", list(all_perms(4)), ids=lambda p: "".join(map(str, p)))
 def test_deep_stack_pass_of_length_4_patterns_matches_match_based_pass(forbidden):
     # the candidate orders of the push test's scan (from either end with
-    # the dominance cut, or stopping at the first hit) on stacks 80-120 deep
+    # the dominance cut, or stopping at the first hit) on stacks 80-120
+    # deep, and its prune to the entries that can be e3 on the monotone
+    # stacks where it skips most, some with 5 random transpositions
     rng = random.Random(80)
     inputs = [tuple(rng.sample(range(1, 81), 80))]
     inputs.append(avoider_132([rng.randrange(80) for _ in range(80)]))
-    for p in inputs + [identity(120)]:
+    inputs += [identity(120), identity(120)[::-1]]
+    for p in (identity(120), identity(120)[::-1]):
+        p = list(p)
+        for _ in range(5):
+            i, j = rng.sample(range(120), 2)
+            p[i], p[j] = p[j], p[i]
+        inputs.append(tuple(p))
+    for p in inputs:
         assert stack_pass(forbidden, p) == _match_pass(forbidden, p)
 
 
@@ -425,6 +436,18 @@ def test_trace_is_fast():
         _timed(lambda: stack_pass_traced((2, 3, 1), (2, 4, 1, 3))) for _ in range(5)
     )
     assert best < 0.001
+
+
+def test_length_4_passes_on_monotone_stacks_are_fast():
+    # A push tries only the entries that can be e3, so on the monotone
+    # stacks of identity and its reverse each pass takes a few ms; a loop
+    # over every entry below would make it quadratic, about 1 s here.
+    for p in (identity(2000), identity(2000)[::-1]):
+        for forbidden in all_perms(4):
+            assert _timed(lambda: stack_pass(forbidden, p)) < 0.1
+    out = []
+    assert _timed(lambda: out.append(machine_output((2, 4, 1, 3), identity(2000)))) < 0.1
+    assert out == [identity(2000)]
 
 
 def _timed(fn):

@@ -94,8 +94,20 @@ def test_every_public_name_has_a_caller():
 
 
 # Inputs that are not permutations of 1..n: a repeated value, a 0, a gap,
-# and entries that are not exactly ints
-BAD = [(1, 1), (0, 1), (1, 2, 5), (2.0, 1), (True,), ("a",)]
+# and entries that are not exactly ints, some also inside a longer input
+BAD = [
+    (1, 1),
+    (2, 3, 1, 1),
+    (1, 3, 3, 2),
+    (0, 1),
+    (0, 3, 2),
+    (1, 2, 5),
+    (2.0, 1),
+    (2.0, 3, 1),
+    (True,),
+    (True, 3, 2),
+    ("a",),
+]
 # A host of `contains` or `occurrences` may hold any distinct ints.
 BAD_HOSTS = [(1, 1), (2.0, 1), (True,), ("a",)]
 
