@@ -10,10 +10,13 @@ the profile of their first-pass outputs and, up to n = LEMMA_N, LEM 2.1's
 first counterexamples, which every check on that machine reads.
 Containment comes from one table of pattern masks up to n = TABLE_N and
 |tau| = TABLE_K, and from `contains` beyond: a class within the table is
-one AND of each mask with its basis bits.  `verify_theorems` drops the
-tables of earlier runs on entry.  The anchored-132 claims (THM 3.3, COR 3.2,
-LEM 3.1) read one scan of the permutations of each length.  Every suite
-raises ValueError for max_n < 0.
+one AND of each mask with its basis bits.  Every table of a run takes its
+permutations from one dict (`_PERMS`, each permutation to itself), so a
+run holds one tuple per permutation however many tables list it.
+`verify_theorems` drops the tables of earlier runs, and that dict, on
+entry.  The anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read one scan
+of the permutations of each length.  Every suite raises ValueError for
+max_n < 0.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = witness_n(k) for a pattern of
@@ -25,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .bivincular import (
     _contains_anchored_132,
@@ -143,6 +147,10 @@ _BITS = {
     tau: 1 << b for b, tau in enumerate(q for k in range(1, TABLE_K + 1) for q in all_perms(k))
 }
 
+# Each permutation of the run's tables to itself: a table stores the tuple
+# this dict holds, so that equal permutations are one object.
+_PERMS: dict[Perm, Perm] = {}
+
 
 def _deletions(p: Perm, positions: int | None = None) -> Iterator[Perm]:
     """The patterns of p one entry shorter, one per deleted position: every
@@ -157,7 +165,7 @@ def _masks(n: int) -> dict[Perm, int]:
     classes are downsets, and an occurrence of a pattern of length <= TABLE_K
     misses one of any TABLE_K + 1 positions, so those deletions hold it."""
     smaller = _masks(n - 1) if n else {}
-    table = {p: _BITS.get(p, 0) for p in all_perms(n)}
+    table = {_PERMS.setdefault(p, p): _BITS.get(p, 0) for p in all_perms(n)}
     for p in table:
         for q in _deletions(p, TABLE_K + 1):
             table[p] |= smaller[q]
@@ -173,13 +181,16 @@ def _contains(p: Perm, tau: Perm) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _machine(forbidden: Perm, max_n: int) -> tuple[tuple[tuple, tuple, tuple | None], ...]:
+def _machine(
+    forbidden: Perm, max_n: int
+) -> tuple[tuple[tuple[Perm, ...], Mapping[Perm, int], tuple | None], ...]:
     """(inputs, profile, lemma) for every n = 0..max_n: the sortable inputs
-    of length n, lexicographic; (output, count) for their first-pass
-    outputs, sorted by output; and LEM 2.1's first counterexample to each
-    half, as (half, input) pairs, up to n = LEMMA_N for patterns of length 3
-    or more, else None.  The suites read entry n of one table per run and
-    machine.
+    of length n, lexicographic; the walk's count of each of their first-pass
+    outputs, a read-only dict in output order; and LEM 2.1's first
+    counterexample to each half, as (half, input) pairs, up to n = LEMMA_N
+    for patterns of length 3 or more, else None.  Every input, output and
+    counterexample is the tuple of `_PERMS`.  The suites read entry n of one
+    table per run and machine.
 
     The table comes from at most two walks.  For a pattern of length 3 or
     more, one walk of length min(max_n, LEMMA_N) visits every input of each
@@ -191,6 +202,16 @@ def _machine(forbidden: Perm, max_n: int) -> tuple[tuple[tuple, tuple, tuple | N
     inputs: list[list[Perm]] = [[()]] + [[] for _ in range(max_n)]
     counts: list[dict[Perm, int]] = [{(): 1}] + [{} for _ in range(max_n)]
     lemmas: list[dict[str, Perm]] = [{} for _ in range(full + 1)]
+    perm = _PERMS.setdefault
+
+    def keep(n: int, p: Perm, out: Perm) -> None:
+        inputs[n].append(perm(p, p))
+        count = counts[n]
+        if out in count:
+            count[out] += 1
+        else:
+            count[perm(out, out)] = 1
+
     if full:  # full <= LEMMA_N <= TABLE_N: the table holds every host
         rev, swapped = reverse(forbidden), swap_first_two(forbidden)
         rev_bit, swap_bit = _BITS.get(rev), _BITS.get(swapped)  # None beyond TABLE_K
@@ -201,22 +222,19 @@ def _machine(forbidden: Perm, max_n: int) -> tuple[tuple[tuple, tuple, tuple | N
             mask = table[out]
             if (table[p] & rev_bit) if rev_bit else contains(p, rev):
                 if not ((mask & swap_bit) if swap_bit else contains(out, swapped)):
-                    lemmas[n].setdefault("swap", p)
+                    lemmas[n].setdefault("swap", perm(p, p))
             elif out != p[::-1]:
-                lemmas[n].setdefault("rev", p)
+                lemmas[n].setdefault("rev", perm(p, p))
             if not mask & bit_231:
-                inputs[n].append(p)
-                counts[n][out] = counts[n].get(out, 0) + 1
+                keep(n, p, out)
     if max_n > full:
         for p, out in every_length_pairs(max_n, forbidden, sortable=True):
-            n = len(p)
-            if n > full:
-                inputs[n].append(p)
-                counts[n][out] = counts[n].get(out, 0) + 1
+            if len(p) > full:
+                keep(len(p), p, out)
     return tuple(
         (
             tuple(inputs[n]),
-            tuple(sorted(counts[n].items())),
+            MappingProxyType(dict(sorted(counts[n].items()))),
             tuple(lemmas[n].items()) if len(forbidden) >= 3 and n <= LEMMA_N else None,
         )
         for n in range(max_n + 1)
@@ -225,13 +243,17 @@ def _machine(forbidden: Perm, max_n: int) -> tuple[tuple[tuple, tuple, tuple | N
 
 @lru_cache(maxsize=None)
 def avoider_set(n: int, basis: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    """The avoiders of basis of length n, lexicographic.  Up to TABLE_N they
-    are the mask table's own tuples, so that a run holds one copy of each,
-    kept by one AND of their mask with the basis bits; `contains` asks only
-    the patterns longer than TABLE_K, and only of the tuples the AND keeps.
-    Beyond TABLE_N every permutation is asked of `contains`."""
+    """The avoiders of basis of length n, lexicographic, as the tuples of
+    `_PERMS`.  Up to TABLE_N they are the mask table's keys, kept by one AND
+    of their mask with the basis bits; `contains` asks only the patterns
+    longer than TABLE_K, and only of the tuples the AND keeps.  Beyond
+    TABLE_N every permutation is asked of `contains`."""
     if n > TABLE_N:
-        return tuple(p for p in all_perms(n) if not any(contains(p, b) for b in basis))
+        return tuple(
+            _PERMS.setdefault(p, p)
+            for p in all_perms(n)
+            if not any(contains(p, b) for b in basis)
+        )
     bits = 0
     for b in basis:
         bits |= _BITS.get(b, 0)
@@ -378,7 +400,7 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
             effective = is_effective(pattern)
             found = _first_witness(
                 range(1, max_n + 1),
-                lambda n: (g for g, _ in _machine(pattern, max_n)[n][1] if _contains(g, pattern)),
+                lambda n: (g for g in _machine(pattern, max_n)[n][1] if _contains(g, pattern)),
             )
             status = _witness_status(found is not None, not effective, max_n, m)
             detail = (
@@ -390,8 +412,7 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
             if not effective:
                 continue
             ok = all(
-                tuple(g for g, _ in _machine(pattern, max_n)[n][1])
-                == avoider_set(n, ((2, 3, 1), pattern))
+                tuple(_machine(pattern, max_n)[n][1]) == avoider_set(n, ((2, 3, 1), pattern))
                 for n in range(1, max_n + 1)
             )
             out.append(
@@ -434,7 +455,7 @@ def _check_123_machine(max_n: int, out: list[CheckResult]) -> None:
     forbidden = (1, 2, 3)
     for n in range(1, max_n + 1):
         formula = count_sortable_123_formula(n)
-        total = sum(c for _, c in _machine(forbidden, max_n)[n][1])
+        total = sum(_machine(forbidden, max_n)[n][1].values())
         direct = len(_machine(forbidden, max_n)[n][0])
         ok = total == formula == direct
         out.append(
@@ -448,11 +469,11 @@ def _check_123_machine(max_n: int, out: list[CheckResult]) -> None:
         )
 
 
-def _fertility_law_break(profile: tuple[tuple[Perm, int], ...]) -> str | None:
+def _fertility_law_break(profile: Mapping[Perm, int]) -> str | None:
     """The first output of the 123-machine's profile that breaks the observed
     per-output law, or None: an output splitting as (i, j, k) has fertility
     catalan(j) when k >= 1 and fertility 1 when k = 0."""
-    for gamma, count in profile:
+    for gamma, count in profile.items():
         split = gamma_decomposition_123(gamma)
         if split is None:
             return f"output {_fmt(gamma)} does not decompose"
@@ -499,6 +520,7 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     _machine.cache_clear()
     avoider_set.cache_clear()
     _masks.cache_clear()
+    _PERMS.clear()
     out: list[CheckResult] = []
     _check_class_characterization(max_len, max_n, out)
     _check_anchored_avoidance_of_sortables(max_len, max_n, out)

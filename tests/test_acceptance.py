@@ -94,8 +94,9 @@ def test_02_sortable_count_rows_extended(n):
 def test_03_sorted_count_rows():
     ok = True
     for pattern, row in SORTED_COUNTS.items():
-        got = [len(_sortables(n, pattern)[1]) for n in range(1, 9)]
-        ok = ok and got == list(row[:8])
+        profiles = [_sortables(n, pattern)[1] for n in range(1, 9)]
+        ok = ok and [len(profile) for profile in profiles] == list(row[:8])
+        ok = ok and all(list(profile) == sorted(profile) for profile in profiles)
     _report("03 sorted-count-rows", ok)
 
 
@@ -169,12 +170,12 @@ def test_07_effectiveness_characterization():
             brute = all(
                 not contains(gamma, pattern)
                 for n in range(1, 9)
-                for gamma, _ in _sortables(n, pattern)[1]
+                for gamma in _sortables(n, pattern)[1]
             )
             ok = ok and predicted == brute
             if predicted:
                 for n in range(1, 9):
-                    keys = tuple(g for g, _ in _sortables(n, pattern)[1])
+                    keys = tuple(_sortables(n, pattern)[1])
                     if keys != avoider_set(n, ((2, 3, 1), pattern)):
                         ok = False
         listed = tuple(p for p in all_perms(m) if is_effective(p))
@@ -190,7 +191,7 @@ def test_08_123_machine_closed_form():
         formula = count_sortable_123_formula(n)
         ok = ok and count_sortable(n, (1, 2, 3)) == formula
         if n <= 8:
-            ok = ok and sum(c for _, c in _sortables(n, (1, 2, 3))[1]) == formula
+            ok = ok and sum(_sortables(n, (1, 2, 3))[1].values()) == formula
     _report("08 123-machine-closed-form", ok)
 
 

@@ -165,8 +165,15 @@ def _one_length(n, sigma):
                 found.setdefault("rev", p)
         lemma = tuple(found.items())
     pairs = list(sortable_pairs(n, sigma))
-    profile = tuple(sorted(Counter(out for _, out in pairs).items()))
+    profile = sorted(Counter(out for _, out in pairs).items())
     return tuple(p for p, _ in pairs), profile, lemma
+
+
+def _listed(entry):
+    # a table entry with its profile as a list of (output, count), so that
+    # comparing it checks the order of the outputs too
+    inputs, profile, lemma = entry
+    return inputs, list(profile.items()), lemma
 
 
 def test_sortables_table_matches_both_enumerators():
@@ -176,13 +183,19 @@ def test_sortables_table_matches_both_enumerators():
             tables = _machine(sigma, 7)
             assert len(tables) == 8
             for n in range(8):
-                assert tables[n] == _one_length(n, sigma), (sigma, n)
+                assert _listed(tables[n]) == _one_length(n, sigma), (sigma, n)
     # past LEMMA_N the lengths come from the sortable walk, with no lemma
     for sigma in ((2, 1), (3, 1, 2)):
         tables = _machine(sigma, 8)
-        assert tables[:8] == _machine(sigma, 7)
-        assert tables[8] == _one_length(8, sigma)
+        assert list(map(_listed, tables[:8])) == list(map(_listed, _machine(sigma, 7)))
+        assert _listed(tables[8]) == _one_length(8, sigma)
         assert tables[8][2] is None
+
+
+def test_profiles_are_read_only():
+    profile = _machine((2, 3, 1), 4)[3][1]
+    with pytest.raises(TypeError):
+        profile[(1, 2, 3)] = 0
 
 
 def test_each_machine_is_walked_once_per_run(monkeypatch):
@@ -210,11 +223,35 @@ def test_theorem_suite_holds_one_runs_tables():
     caches = (_machine, avoider_set, _masks)
     for cache in caches:
         cache.cache_clear()
+    verify._PERMS.clear()
     verify_theorems(3, 4)
-    lone = [cache.cache_info().currsize for cache in caches]
+    lone = [cache.cache_info().currsize for cache in caches] + [len(verify._PERMS)]
     verify_theorems(4, 6)
     verify_theorems(3, 4)
-    assert [cache.cache_info().currsize for cache in caches] == lone
+    assert [cache.cache_info().currsize for cache in caches] + [len(verify._PERMS)] == lone
+
+
+def test_a_run_holds_one_tuple_per_permutation():
+    # Counted, not timed: every permutation that the walks, the avoider
+    # sets and the mask table hold is one object per value.
+    verify_theorems(4, 8)
+    verify_tables(4, 8)
+    caches = (_machine, avoider_set, _masks)
+    sizes = [cache.cache_info().currsize for cache in caches]
+    held = {n: list(_masks(n)) for n in range(9)}
+    for sigma in (s for m in (2, 3, 4) for s in all_perms(m)):
+        for n, (inputs, profile, lemma) in enumerate(_machine(sigma, 8)):
+            held[n] += inputs
+            held[n] += profile
+            held[n] += (p for _, p in lemma or ())
+    for basis in CLASS_BASES:
+        for n in range(1, 9):
+            held[n] += avoider_set(n, basis)
+    # the run had built every table read above
+    assert [cache.cache_info().currsize for cache in caches] == sizes
+    for n, perms in held.items():
+        assert len(perms) > len(set(perms)), n
+        assert len({id(p) for p in perms}) == len(set(perms)), n
 
 
 def test_containment_table_matches_brute_force():
