@@ -370,27 +370,22 @@ def _blocked_by(
 
 
 _WINDOW_TABLES: tuple[list[int], list[int]] = ([], [])
-# The longest shared tables: those of an input of length 2048.  They grow
-# with the square of their length, so a longer input's are its own.
-_SHARED_WINDOW = 2048 + 2
 
 
 def _window_tables(size: int) -> tuple[list[int], list[int]]:
-    """(low, high), at least size long: low[a] = (1 << a) - 1 is the mask of
-    the values below a, high[a] that of the values above a up to the tables'
-    length.  Up to _SHARED_WINDOW they are shared by every step: a larger
-    size builds tables at least twice as long, up to that cap, and swaps
-    them in whole, so a step keeps reading the tables it took.  A size past
-    the cap gets tables of its own length, shared with no other step."""
+    """(low, high), shared by every step and at least size long: low[a] =
+    (1 << a) - 1 is the mask of the values below a, high[a] that of the
+    values above a up to the tables' length.  A larger size builds tables at
+    least twice as long and swaps them in whole, so a step keeps reading the
+    tables it took."""
     global _WINDOW_TABLES
     low, high = _WINDOW_TABLES
     if len(low) < size:
-        size = max(size, min(2 * len(low), _SHARED_WINDOW))
+        size = max(size, 2 * len(low))
         full = (1 << size) - 1
         low = [(1 << a) - 1 for a in range(size)]
         high = [full ^ (2 << a) - 1 for a in range(size)]
-        if size <= _SHARED_WINDOW:
-            _WINDOW_TABLES = low, high
+        _WINDOW_TABLES = low, high
     return low, high
 
 

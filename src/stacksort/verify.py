@@ -11,12 +11,12 @@ first counterexamples, which every check on that machine reads.
 Containment comes from one table of pattern masks up to n = TABLE_N and
 |tau| = TABLE_K, and from `contains` beyond: a class within the table is
 one AND of each mask with its basis bits.  Every table of a run takes its
-permutations from one dict (`_PERMS`, each permutation to itself), so a
-run holds one tuple per permutation however many tables list it.
-`verify_theorems` drops the tables of earlier runs, and that dict, on
-entry.  The anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read one scan
-of the permutations of each length.  Every suite raises ValueError for
-max_n < 0.
+permutations from one dict per length (`_perms(n)`, each permutation to
+itself), so a run holds one tuple per permutation however many tables
+list it.  `verify_theorems` drops the tables of earlier runs, and those
+dicts, on entry.  The anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read
+one scan of the permutations of each length.  Every suite raises
+ValueError for max_n < 0.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = witness_n(k) for a pattern of
@@ -147,15 +147,19 @@ _BITS = {
     tau: 1 << b for b, tau in enumerate(q for k in range(1, TABLE_K + 1) for q in all_perms(k))
 }
 
-# Each permutation of the run's tables to itself: a table stores the tuple
-# this dict holds, so that equal permutations are one object.
-_PERMS: dict[Perm, Perm] = {}
-
 
 def _deletions(p: Perm, positions: int | None = None) -> Iterator[Perm]:
     """The patterns of p one entry shorter, one per deleted position: every
     position, or the first `positions` of them."""
     return (tuple(x - (x > v) for x in p[:i] + p[i + 1 :]) for i, v in enumerate(p[:positions]))
+
+
+@lru_cache(maxsize=None)
+def _perms(n: int) -> dict[Perm, Perm]:
+    """Each permutation of length n in the run's tables, to itself: a table
+    stores the tuple this dict holds, so that equal permutations are one
+    object.  One dict per length keeps each sized to its own entries."""
+    return {}
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +169,8 @@ def _masks(n: int) -> dict[Perm, int]:
     classes are downsets, and an occurrence of a pattern of length <= TABLE_K
     misses one of any TABLE_K + 1 positions, so those deletions hold it."""
     smaller = _masks(n - 1) if n else {}
-    table = {_PERMS.setdefault(p, p): _BITS.get(p, 0) for p in all_perms(n)}
+    perm = _perms(n).setdefault
+    table = {perm(p, p): _BITS.get(p, 0) for p in all_perms(n)}
     for p in table:
         for q in _deletions(p, TABLE_K + 1):
             table[p] |= smaller[q]
@@ -189,7 +194,7 @@ def _machine(
     outputs, a read-only dict in output order; and LEM 2.1's first
     counterexample to each half, as (half, input) pairs, up to n = LEMMA_N
     for patterns of length 3 or more, else None.  Every input, output and
-    counterexample is the tuple of `_PERMS`.  The suites read entry n of one
+    counterexample is the tuple of `_perms`.  The suites read entry n of one
     table per run and machine.
 
     The table comes from at most two walks.  For a pattern of length 3 or
@@ -202,9 +207,10 @@ def _machine(
     inputs: list[list[Perm]] = [[()]] + [[] for _ in range(max_n)]
     counts: list[dict[Perm, int]] = [{(): 1}] + [{} for _ in range(max_n)]
     lemmas: list[dict[str, Perm]] = [{} for _ in range(full + 1)]
-    perm = _PERMS.setdefault
+    perms = [_perms(n).setdefault for n in range(max_n + 1)]
 
     def keep(n: int, p: Perm, out: Perm) -> None:
+        perm = perms[n]
         inputs[n].append(perm(p, p))
         count = counts[n]
         if out in count:
@@ -222,9 +228,9 @@ def _machine(
             mask = table[out]
             if (table[p] & rev_bit) if rev_bit else contains(p, rev):
                 if not ((mask & swap_bit) if swap_bit else contains(out, swapped)):
-                    lemmas[n].setdefault("swap", perm(p, p))
+                    lemmas[n].setdefault("swap", perms[n](p, p))
             elif out != p[::-1]:
-                lemmas[n].setdefault("rev", perm(p, p))
+                lemmas[n].setdefault("rev", perms[n](p, p))
             if not mask & bit_231:
                 keep(n, p, out)
     if max_n > full:
@@ -244,15 +250,14 @@ def _machine(
 @lru_cache(maxsize=None)
 def avoider_set(n: int, basis: tuple[Perm, ...]) -> tuple[Perm, ...]:
     """The avoiders of basis of length n, lexicographic, as the tuples of
-    `_PERMS`.  Up to TABLE_N they are the mask table's keys, kept by one AND
+    `_perms(n)`.  Up to TABLE_N they are the mask table's keys, kept by one AND
     of their mask with the basis bits; `contains` asks only the patterns
     longer than TABLE_K, and only of the tuples the AND keeps.  Beyond
     TABLE_N every permutation is asked of `contains`."""
     if n > TABLE_N:
+        perm = _perms(n).setdefault
         return tuple(
-            _PERMS.setdefault(p, p)
-            for p in all_perms(n)
-            if not any(contains(p, b) for b in basis)
+            perm(p, p) for p in all_perms(n) if not any(contains(p, b) for b in basis)
         )
     bits = 0
     for b in basis:
@@ -520,7 +525,7 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     _machine.cache_clear()
     avoider_set.cache_clear()
     _masks.cache_clear()
-    _PERMS.clear()
+    _perms.cache_clear()
     out: list[CheckResult] = []
     _check_class_characterization(max_len, max_n, out)
     _check_anchored_avoidance_of_sortables(max_len, max_n, out)

@@ -345,17 +345,3 @@ def test_standardize():
     assert standardize(()) == ()
     assert standardize((7,)) == (1,)
     assert standardize(identity(4)) == identity(4)
-
-
-def test_long_pass_does_not_keep_its_window_tables():
-    # The shared tables stop at the length of an input of length 2048; a
-    # longer pass reads tables of its own and leaves the shared ones as
-    # they were.
-    n = 5000
-    shared = perms._WINDOW_TABLES
-    assert stack_pass((4, 3, 2, 1), identity(n)) == tuple(range(3, n + 1)) + (2, 1)
-    assert perms._WINDOW_TABLES is shared
-    low, high = shared
-    assert len(low) == len(high) <= perms._SHARED_WINDOW
-    assert stack_pass((4, 3, 2, 1), identity(2048)) == tuple(range(3, 2049)) + (2, 1)
-    assert len(perms._WINDOW_TABLES[0]) <= perms._SHARED_WINDOW

@@ -220,15 +220,19 @@ def test_each_machine_is_walked_once_per_run(monkeypatch):
 
 
 def test_theorem_suite_holds_one_runs_tables():
-    caches = (_machine, avoider_set, _masks)
+    caches = (_machine, avoider_set, _masks, verify._perms)
+
+    def held():  # the interning dicts' sizes read after the cache sizes
+        sizes = [cache.cache_info().currsize for cache in caches]
+        return sizes + [len(verify._perms(n)) for n in range(5)]
+
     for cache in caches:
         cache.cache_clear()
-    verify._PERMS.clear()
     verify_theorems(3, 4)
-    lone = [cache.cache_info().currsize for cache in caches] + [len(verify._PERMS)]
+    lone = held()
     verify_theorems(4, 6)
     verify_theorems(3, 4)
-    assert [cache.cache_info().currsize for cache in caches] + [len(verify._PERMS)] == lone
+    assert held() == lone
 
 
 def test_a_run_holds_one_tuple_per_permutation():
