@@ -290,7 +290,8 @@ def _blocked_by(
     tried stay.  When ek does not bound v, the first hit in that order (from
     the end that widens v's window, if e(k-1) bounds it) blocks every v
     that a later one would.  The same candidate loop, with e3 as e(k-1), is
-    the step of a pattern of length 4 in `greedy_step`.  Here e3, ...,
+    the step of a pattern of length 4 in `greedy_step`, which keeps only the
+    candidates above each one tried for every pattern.  Here e3, ...,
     e(k-2) are the levels of a depth-first search down the stack, kept in a
     list of frames, with the same cut per level; it descends from an entry
     that `fits`, and `last` is its innermost level.  A push costs
@@ -429,6 +430,15 @@ def greedy_step(forbidden: Perm, n: int) -> Step:
     e4's window lies on one side of e3, so e3 needs a deeper entry on that
     side.  A second table, deep[v], holds the values below v that have one:
     deep[c], with c added when under[c] holds a value on that side of c.
+    Unlike `_blocked_by`, the loop drops the values below every candidate
+    it tries, for every pattern.  Where e3 is next in rank to neither end
+    of its window (1423, 2134, 3421 and 4132) that holds for another
+    reason.  For 2134 and 3421, e4's window is all of e4's side of e3, so
+    every candidate hits.  For 1423 and 4132, say a candidate a misses and a
+    deeper candidate a' then hits with some e4.  Then (a, a', e4) has the
+    order of (s2, s3, s4), and the window of the values blocked is bounded
+    by e3 and the ends alone, so the level where a was pushed already
+    blocks every value that a' would block; blocked[d] carries that level.
     For k >= 5 the values come from `_blocked_by`.
     """
     k = len(forbidden)
@@ -474,10 +484,9 @@ def greedy_step(forbidden: Perm, n: int) -> Step:
         e3_side = high if s3 > s2 else low  # e3's side of the pushed value
         e4_side = high if s4 > s3 else low  # e4's side of e3
         smallest = s4 < s1  # e4 bounds v from below
-        _, (_, in_lo, in_hi, *_), (_, z_lo, z_hi, *_) = _levels(forbidden)
+        _, (_, _, in_hi, *_), (_, z_lo, z_hi, *_) = _levels(forbidden)
         down = in_hi == s3 + 1 or s3 == s1 + 1  # the largest candidate first
         rest = low if down else high  # the candidates after a
-        cut = in_hi == s3 + 1 or in_lo == s3 - 1
         first = s4 not in (v_lo, v_hi)  # e4 does not bound v: stop at a hit
         x = [0] * 5 + [n + 1]
         deep = [0] * (n + 1)  # the values below each value that can be e3
@@ -503,9 +512,7 @@ def greedy_step(forbidden: Perm, n: int) -> Step:
                         top |= low[x[v_hi]] & high[x[v_lo]]
                         if first:
                             break
-                    cand &= rest[a]
-                    if cut:
-                        cand &= ~seen
+                    cand &= rest[a] & ~seen
             return top
 
         return step

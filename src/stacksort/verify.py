@@ -3,6 +3,10 @@ formulas and reference sequences, at desk scale.
 
 Every check pits a predicate or closed form against exhaustive enumeration
 and reports one line per instance: "<id> | <pattern> | <n> | PASS/FAIL".
+A check is a generator of rows (check id, pattern, n, verdict, detail), and
+`_report` alone turns rows into `CheckResult`s.  The theorem checks take
+(max_len, max_n) and are listed in one tuple, `_THEOREM_CHECKS`; the table
+and conjecture suites are one generator each.
 Each machine is walked once per run for every length n <= max_n at once
 (`_machine`): a node of a walk whose prefix holds exactly 1..j holds that
 input's own machine state.  For each n the table keeps the sortable inputs,
@@ -294,58 +298,53 @@ def _fmt(p: Perm) -> str:
     return format_perm(p) if p else "-"
 
 
+# A row of a check: (check id, pattern or (), n, verdict, detail), where the
+# verdict is a bool (PASS or FAIL) or a status string.
+Row = tuple[str, Perm, int, bool | str, str]
+_STATUS = {True: "PASS", False: "FAIL"}
+
+
+def _report(rows: Iterable[Row]) -> list[CheckResult]:
+    """One CheckResult per row, in order: the pattern formatted ("-" for
+    ()), and a bool verdict as PASS or FAIL."""
+    return [
+        CheckResult(check_id, _fmt(pattern), n, _STATUS.get(verdict, verdict), detail)
+        for check_id, pattern, n, verdict, detail in rows
+    ]
+
+
 # ---------------------------------------------------------------------------
-# theorem suite
+# theorem suite: each check takes (max_len, max_n) and yields its rows
 
 
-def _check_class_characterization(max_len: int, max_n: int, out: list[CheckResult]) -> None:
+def _check_class_characterization(max_len: int, max_n: int) -> Iterator[Row]:
     for m in range(3, max_len + 1):
         witness_cap = min(max_n, witness_n(m))
         for pattern in all_perms(m):
             is_class, basis = sort_is_class(pattern)
             if is_class:
+                claim = f"sortables = avoiders of {{{', '.join(map(_fmt, basis))}}}"
                 for n in range(1, max_n + 1):
                     ok = _machine(pattern, max_n)[n][0] == avoider_set(n, tuple(basis))
-                    out.append(
-                        CheckResult(
-                            "THM 2.2",
-                            _fmt(pattern),
-                            n,
-                            "PASS" if ok else "FAIL",
-                            f"sortables = avoiders of {{{', '.join(map(_fmt, basis))}}}",
-                        )
-                    )
+                    yield "THM 2.2", pattern, n, ok, claim
+                continue
+            found = _first_witness(
+                range(m, witness_cap + 1),
+                lambda n: _downset_violations(
+                    _machine(pattern, max_n)[n][0], _machine(pattern, max_n)[n - 1][0]
+                ),
+            )
+            if found:
+                n, (p, tau) = found
+                detail = f"not a class: sortable {_fmt(p)} has non-sortable pattern {_fmt(tau)}"
+                yield "THM 2.2", pattern, n, True, detail
             else:
-                found = _first_witness(
-                    range(m, witness_cap + 1),
-                    lambda n: _downset_violations(
-                        _machine(pattern, max_n)[n][0], _machine(pattern, max_n)[n - 1][0]
-                    ),
-                )
-                if found:
-                    n, (p, tau) = found
-                    out.append(
-                        CheckResult(
-                            "THM 2.2",
-                            _fmt(pattern),
-                            n,
-                            "PASS",
-                            f"not a class: sortable {_fmt(p)} has non-sortable pattern {_fmt(tau)}",
-                        )
-                    )
-                else:
-                    out.append(
-                        CheckResult(
-                            "THM 2.2",
-                            _fmt(pattern),
-                            witness_cap,
-                            _witness_status(False, True, max_n, m),
-                            f"no downset violation within n <= {witness_cap}",
-                        )
-                    )
+                status = _witness_status(False, True, max_n, m)
+                detail = f"no downset violation within n <= {witness_cap}"
+                yield "THM 2.2", pattern, witness_cap, status, detail
 
 
-def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[CheckResult]) -> None:
+def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int) -> Iterator[Row]:
     for m in range(3, max_len + 1):
         for pattern in all_perms(m):
             predicted = sortables_avoid_anchored_132(pattern)
@@ -359,10 +358,10 @@ def _check_anchored_avoidance_of_sortables(max_len: int, max_n: int, out: list[C
                 if found is None
                 else f"sortable {_fmt(found[1])} contains anchored 132"
             )
-            out.append(CheckResult("THM 3.4", _fmt(pattern), max_n, status, detail))
+            yield "THM 3.4", pattern, max_n, status, detail
 
 
-def _check_anchored_132_avoiders(max_n: int, out: list[CheckResult]) -> None:
+def _check_anchored_132_avoiders(max_len: int, max_n: int) -> Iterator[Row]:
     """THM 3.3, and COR 3.2 and LEM 3.1 up to n = 8, from one scan of the
     permutations of each length: the avoiders it counts are the exhaustive
     side of the closed form."""
@@ -383,22 +382,12 @@ def _check_anchored_132_avoiders(max_n: int, out: list[CheckResult]) -> None:
             if avoids_anchored_132_via_blocks(p) != avoids:
                 broken.add("LEM 3.1")
         formula = count_anchored_132_avoiders(n)
-        out.append(
-            CheckResult(
-                "THM 3.3",
-                "-",
-                n,
-                "PASS" if formula == brute else "FAIL",
-                f"formula {formula} vs brute {brute}",
-            )
-        )
+        yield "THM 3.3", (), n, formula == brute, f"formula {formula} vs brute {brute}"
         for check_id, claim in lemmas:
-            out.append(
-                CheckResult(check_id, "-", n, "FAIL" if check_id in broken else "PASS", claim)
-            )
+            yield check_id, (), n, check_id not in broken, claim
 
 
-def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> None:
+def _check_effectiveness(max_len: int, max_n: int) -> Iterator[Row]:
     """COR 4.5 for every pattern, and PROP 4.1 for the effective ones."""
     for m in range(2, max_len + 1):
         for pattern in all_perms(m):
@@ -413,25 +402,17 @@ def _check_effectiveness(max_len: int, max_n: int, out: list[CheckResult]) -> No
                 if found is None
                 else f"sorted output {_fmt(found[1])} contains the pattern"
             )
-            out.append(CheckResult("COR 4.5", _fmt(pattern), max_n, status, detail))
+            yield "COR 4.5", pattern, max_n, status, detail
             if not effective:
                 continue
             ok = all(
                 tuple(_machine(pattern, max_n)[n][1]) == avoider_set(n, ((2, 3, 1), pattern))
                 for n in range(1, max_n + 1)
             )
-            out.append(
-                CheckResult(
-                    "PROP 4.1",
-                    _fmt(pattern),
-                    max_n,
-                    "PASS" if ok else "FAIL",
-                    "sorted outputs = avoiders of {231, pattern}",
-                )
-            )
+            yield "PROP 4.1", pattern, max_n, ok, "sorted outputs = avoiders of {231, pattern}"
 
 
-def _check_pass_reversal_lemma(max_len: int, max_n: int, out: list[CheckResult]) -> None:
+def _check_pass_reversal_lemma(max_len: int, max_n: int) -> Iterator[Row]:
     cap = min(max_n, LEMMA_N)
     claims = (
         ("rev", "inputs avoiding the reversed pattern come out reversed"),
@@ -445,33 +426,18 @@ def _check_pass_reversal_lemma(max_len: int, max_n: int, out: list[CheckResult])
                     bad.setdefault(half, p)
             for half, claim in claims:
                 p = bad.get(half)
-                out.append(
-                    CheckResult(
-                        f"LEM 2.1-{half}",
-                        _fmt(pattern),
-                        cap,
-                        "PASS" if p is None else "FAIL",
-                        claim if p is None else f"counterexample {_fmt(p)}",
-                    )
-                )
+                detail = claim if p is None else f"counterexample {_fmt(p)}"
+                yield f"LEM 2.1-{half}", pattern, cap, p is None, detail
 
 
-def _check_123_machine(max_n: int, out: list[CheckResult]) -> None:
+def _check_123_machine(max_len: int, max_n: int) -> Iterator[Row]:
     forbidden = (1, 2, 3)
     for n in range(1, max_n + 1):
         formula = count_sortable_123_formula(n)
         total = sum(_machine(forbidden, max_n)[n][1].values())
         direct = len(_machine(forbidden, max_n)[n][0])
-        ok = total == formula == direct
-        out.append(
-            CheckResult(
-                "EX 123-machine",
-                _fmt(forbidden),
-                n,
-                "PASS" if ok else "FAIL",
-                f"sortable count {direct}, profile mass {total}, closed form {formula}",
-            )
-        )
+        detail = f"sortable count {direct}, profile mass {total}, closed form {formula}"
+        yield "EX 123-machine", forbidden, n, total == formula == direct, detail
 
 
 def _fertility_law_break(profile: Mapping[Perm, int]) -> str | None:
@@ -489,21 +455,55 @@ def _fertility_law_break(profile: Mapping[Perm, int]) -> str | None:
     return None
 
 
-def _check_123_fertility_law(max_n: int, out: list[CheckResult]) -> None:
+def _check_123_fertility_law(max_len: int, max_n: int) -> Iterator[Row]:
     # Reported as a finding; the grouped sum over outputs gives the closed form.
     forbidden = (1, 2, 3)
     for n in range(1, min(max_n, 7) + 1):
         broken = _fertility_law_break(_machine(forbidden, max_n)[n][1])
-        out.append(
-            CheckResult(
-                "OQ 123-fertility-law",
-                _fmt(forbidden),
-                n,
-                "FINDING",
-                "per-output fertility = catalan(j) if k >= 1 else 1: "
-                + ("holds" if broken is None else f"fails: {broken}"),
-            )
+        detail = "per-output fertility = catalan(j) if k >= 1 else 1: " + (
+            "holds" if broken is None else f"fails: {broken}"
         )
+        yield "OQ 123-fertility-law", forbidden, n, "FINDING", detail
+
+
+def _check_two_letter_resolution(max_len: int, max_n: int) -> Iterator[Row]:
+    """Which of 21 and 12 matches which reference.  PASS when they match one
+    reference each, not the same one.  While the references agree at every
+    n <= max_n they cannot tell the patterns apart: INFO when both patterns
+    match both, FAIL otherwise."""
+    ns = range(1, max_n + 1)
+    # In name order, so each list of matches below comes out sorted.
+    references = {
+        "avoiders-of-213 (catalan)": [len(avoider_set(n, ((2, 1, 3),))) for n in ns],
+        "west-two-stack (A000139)": [west_two_stack_count(n) for n in ns],
+    }
+    m21, m12 = (
+        [name for name, row in references.items() if row == counts]
+        for counts in [
+            [len(_machine(pattern, max_n)[n][0]) for n in ns] for pattern in ((2, 1), (1, 2))
+        ]
+    )
+    names = list(references)
+    if references[names[0]] != references[names[1]]:  # they separate at some n <= max_n
+        status = sorted([m21, m12]) == [[name] for name in names]
+    else:
+        status = "INFO" if m21 == m12 == names else False
+    detail = f"21 matches {m21 or ['nothing']}, 12 matches {m12 or ['nothing']}"
+    yield "AMB two-letter", (), max_n, status, detail
+
+
+# The theorem checks, run in this order.  The report is sorted, so the order
+# decides only which check builds each shared table first.
+_THEOREM_CHECKS: tuple[Callable[[int, int], Iterator[Row]], ...] = (
+    _check_class_characterization,
+    _check_anchored_avoidance_of_sortables,
+    _check_anchored_132_avoiders,
+    _check_effectiveness,
+    _check_pass_reversal_lemma,
+    _check_123_machine,
+    _check_123_fertility_law,
+    _check_two_letter_resolution,
+)
 
 
 def _check_limits(max_len: int, max_n: int) -> None:
@@ -526,15 +526,7 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
     avoider_set.cache_clear()
     _masks.cache_clear()
     _perms.cache_clear()
-    out: list[CheckResult] = []
-    _check_class_characterization(max_len, max_n, out)
-    _check_anchored_avoidance_of_sortables(max_len, max_n, out)
-    _check_anchored_132_avoiders(max_n, out)
-    _check_effectiveness(max_len, max_n, out)
-    _check_pass_reversal_lemma(max_len, max_n, out)
-    _check_123_machine(max_n, out)
-    _check_123_fertility_law(max_n, out)
-    _check_two_letter_resolution(max_n, out)
+    out = _report(row for check in _THEOREM_CHECKS for row in check(max_len, max_n))
     out.sort(key=lambda r: (r.check_id, r.subject, r.n))
     return out
 
@@ -543,71 +535,31 @@ def verify_theorems(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
 # table suite
 
 
-def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
-    _check_limits(max_len, max_n)
-    out: list[CheckResult] = []
-    for pattern, row in SORTABLE_COUNTS.items():
-        for n in range(1, min(max_n, len(row)) + 1):
-            got = len(_machine(pattern, max_n)[n][0])
-            want = row[n - 1]
-            out.append(
-                CheckResult(
-                    "TAB sortable",
-                    _fmt(pattern),
-                    n,
-                    "PASS" if got == want else "FAIL",
-                    f"counted {got}, published {want}",
-                )
-            )
-    for pattern, row in SORTED_COUNTS.items():
-        if len(pattern) > max_len:
-            continue
-        for n in range(1, min(max_n, len(row)) + 1):
-            got = len(_machine(pattern, max_n)[n][1])
-            want = row[n - 1]
-            out.append(
-                CheckResult(
-                    "TAB sorted",
-                    _fmt(pattern),
-                    n,
-                    "PASS" if got == want else "FAIL",
-                    f"counted {got}, published {want}",
-                )
-            )
+def _table_rows(max_len: int, max_n: int) -> Iterator[Row]:
+    # (check id, published rows, the table entry counted, longest pattern):
+    # the sortable rows are pinned whatever max_len is.
+    for check_id, published, part, longest in (
+        ("TAB sortable", SORTABLE_COUNTS, 0, math.inf),
+        ("TAB sorted", SORTED_COUNTS, 1, max_len),
+    ):
+        for pattern, row in published.items():
+            if len(pattern) > longest:
+                continue
+            for n in range(1, min(max_n, len(row)) + 1):
+                got, want = len(_machine(pattern, max_n)[n][part]), row[n - 1]
+                yield check_id, pattern, n, got == want, f"counted {got}, published {want}"
     seq21 = [len(_machine((2, 1), max_n)[n][1]) for n in range(1, min(max_n, 9) + 1)]
-    out.append(
-        CheckResult(
-            "TAB sorted",
-            _fmt((2, 1)),
-            min(max_n, 9),
-            "INFO",
-            "no published values to pin; counted " + ", ".join(map(str, seq21)),
-        )
-    )
+    detail = "no published values to pin; counted " + ", ".join(map(str, seq21))
+    yield "TAB sorted", (2, 1), min(max_n, 9), "INFO", detail
     for m in range(2, min(max_len, 4) + 1):
         got = tuple(p for p in all_perms(m) if is_effective(p))
-        want = EFFECTIVE_PATTERNS[m]
-        out.append(
-            CheckResult(
-                "TAB effective",
-                "-",
-                m,
-                "PASS" if got == want else "FAIL",
-                f"{len(got)} effective patterns of length {m}",
-            )
-        )
+        detail = f"{len(got)} effective patterns of length {m}"
+        yield "TAB effective", (), m, got == EFFECTIVE_PATTERNS[m], detail
     for m in range(2, max(3, min(max_len + 1, 5)) + 1):
         non_effective = sum(1 for p in all_perms(m) if not is_effective(p))
         want = catalan(m - 1)
-        out.append(
-            CheckResult(
-                "TAB noneffective-count",
-                "-",
-                m,
-                "PASS" if non_effective == want else "FAIL",
-                f"counted {non_effective}, catalan({m - 1}) = {want}",
-            )
-        )
+        detail = f"counted {non_effective}, catalan({m - 1}) = {want}"
+        yield "TAB noneffective-count", (), m, non_effective == want, detail
     if max_len >= 4:
         grouped: dict[str, list[Perm]] = {label: [] for label in ALL_LABELS}
         for m in (3, 4):
@@ -615,106 +567,45 @@ def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
                 grouped[classification_row(pattern).label].append(pattern)
         for label, want in zip(ALL_LABELS, CLASSIFICATION_GROUPS):
             got = tuple(sorted(grouped[label], key=lambda p: (len(p), p)))
-            want_sorted = tuple(sorted(want, key=lambda p: (len(p), p)))
-            out.append(
-                CheckResult(
-                    "TAB classification",
-                    "-",
-                    4,
-                    "PASS" if got == want_sorted else "FAIL",
-                    f"row '{label}': {len(got)} patterns",
-                )
-            )
-    return out
+            ok = got == tuple(sorted(want, key=lambda p: (len(p), p)))
+            yield "TAB classification", (), 4, ok, f"row '{label}': {len(got)} patterns"
 
 
-# ---------------------------------------------------------------------------
-# two-letter patterns: resolve which of 21/12 matches which reference
-
-
-def _check_two_letter_resolution(max_n: int, out: list[CheckResult]) -> None:
-    """PASS when 21 and 12 match one reference each, not the same one.  While
-    the references agree at every n <= max_n they cannot tell the patterns
-    apart: INFO when both patterns match both, FAIL otherwise."""
-    ns = range(1, max_n + 1)
-    # In name order, so each list of matches below comes out sorted.
-    references = {
-        "avoiders-of-213 (catalan)": [len(avoider_set(n, ((2, 1, 3),))) for n in ns],
-        "west-two-stack (A000139)": [west_two_stack_count(n) for n in ns],
-    }
-    m21, m12 = (
-        [name for name, row in references.items() if row == counts]
-        for counts in [
-            [len(_machine(pattern, max_n)[n][0]) for n in ns] for pattern in ((2, 1), (1, 2))
-        ]
-    )
-    names = list(references)
-    if references[names[0]] != references[names[1]]:  # they separate at some n <= max_n
-        status = "PASS" if sorted([m21, m12]) == [[name] for name in names] else "FAIL"
-    else:
-        status = "INFO" if m21 == m12 == names else "FAIL"
-    out.append(
-        CheckResult(
-            "AMB two-letter",
-            "-",
-            max_n,
-            status,
-            f"21 matches {m21 or ['nothing']}, 12 matches {m12 or ['nothing']}",
-        )
-    )
+def verify_tables(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:
+    _check_limits(max_len, max_n)
+    return _report(_table_rows(max_len, max_n))
 
 
 # ---------------------------------------------------------------------------
 # conjecture suite
 
 
-def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> list[CheckResult]:
-    if max_n < 0:
-        raise ValueError("n must be >= 0")
-    out: list[CheckResult] = []
+def _conjecture_rows(max_n: int, minima_convention: str) -> Iterator[Row]:
     for n in range(1, min(5, max_n) + 1):
-        got = sum(1 for _ in fishburn_permutations(n))
-        want = FISHBURN_NUMBERS[n - 1]
-        out.append(
-            CheckResult(
-                "CONJ fishburn-def",
-                "-",
-                n,
-                "PASS" if got == want else "FAIL",
-                f"counted {got}, reference {want}",
-            )
-        )
+        got, want = sum(1 for _ in fishburn_permutations(n)), FISHBURN_NUMBERS[n - 1]
+        yield "CONJ fishburn-def", (), n, got == want, f"counted {got}, reference {want}"
     compared = [compare_families(n, minima_convention) for n in range(1, max_n + 1)]
     for n, (dists, _) in enumerate(compared, start=1):
         a, c, b = (dist.total() for dist in dists)
         pinned = n <= len(EQUINUMEROUS_COUNTS)
         ok = a == b == c and (not pinned or a == EQUINUMEROUS_COUNTS[n - 1])
-        out.append(
-            CheckResult(
-                "CONJ cardinality",
-                "-",
-                n,
-                "PASS" if ok else "FAIL",
-                f"sort312 {a}, ascent201 {b}, fishburn3412 {c}"
-                + (f", published {EQUINUMEROUS_COUNTS[n - 1]}" if pinned else ""),
-            )
+        detail = f"sort312 {a}, ascent201 {b}, fishburn3412 {c}" + (
+            f", published {EQUINUMEROUS_COUNTS[n - 1]}" if pinned else ""
         )
+        yield "CONJ cardinality", (), n, ok, detail
     for n, (_, mism) in enumerate(compared[:7], start=1):
-        out.append(
-            CheckResult(
-                "CONJ equidistribution",
-                "-",
-                n,
-                "FINDING",
-                f"{minima_convention} minima: "
-                + (
-                    "joint distributions agree"
-                    if mism is None
-                    else f"mismatch at pair {mism[0]}: {mism[1]} vs {mism[2]}"
-                ),
-            )
+        detail = f"{minima_convention} minima: " + (
+            "joint distributions agree"
+            if mism is None
+            else f"mismatch at pair {mism[0]}: {mism[1]} vs {mism[2]}"
         )
-    return out
+        yield "CONJ equidistribution", (), n, "FINDING", detail
+
+
+def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> list[CheckResult]:
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
+    return _report(_conjecture_rows(max_n, minima_convention))
 
 
 def verify_all(max_len: int = 4, max_n: int = 8) -> list[CheckResult]:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from oracles import naive_stack_pass_traced
-from stacksort import cli
+from stacksort import cli, verify
 from stacksort.cli import main
 from stacksort.perms import parse_perm
 from stacksort.verify import CheckResult
@@ -269,6 +269,43 @@ def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch):
         "X | - | 1 | FAIL",
         "summary: 1 pass, 1 fail, 1 findings",
     ]
+
+
+@pytest.mark.parametrize(
+    "table, key, line",
+    [
+        (
+            "SORTABLE_COUNTS",
+            (2, 3, 1),
+            "TAB sortable | 2 3 1 | 4 | FAIL (counted 23, published 24)",
+        ),
+        (
+            "SORTED_COUNTS",
+            (2, 1, 4, 3),
+            "TAB sorted | 2 1 4 3 | 4 | FAIL (counted 13, published 14)",
+        ),
+        (
+            "EQUINUMEROUS_COUNTS",
+            None,
+            "CONJ cardinality | - | 4 | FAIL"
+            " (sort312 15, ascent201 15, fishburn3412 15, published 16)",
+        ),
+    ],
+    ids=["sortable", "sorted", "cardinality"],
+)
+def test_verify_fails_on_a_wrong_published_count(capsys, monkeypatch, table, key, line):
+    # one published entry off by one, at n = 4: that line alone fails
+    def wrong(row):
+        return row[:3] + (row[3] + 1,) + row[4:]
+
+    if key is None:
+        monkeypatch.setattr(verify, table, wrong(getattr(verify, table)))
+    else:
+        monkeypatch.setitem(getattr(verify, table), key, wrong(getattr(verify, table)[key]))
+    code, out, _ = run(capsys, "verify", "--max-n", "5")
+    assert code == 1
+    assert [x for x in out.splitlines() if "FAIL" in x] == [line]
+    assert out.splitlines()[-1].endswith(" pass, 1 fail, 10 findings")
 
 
 def test_bad_usage_exits_2():

@@ -72,6 +72,9 @@ def test_stack_pass_examples():
     # frozen from the simulation oracle; the output must contain the swapped
     # pattern 231 here, which pins it down among 3-letter candidates
     assert stack_pass((3, 2, 1), (1, 2, 3)) == (2, 3, 1)
+    # _blocked_by keeps only the candidates above a tried one just for some
+    # patterns: made always, it would give (1, 5, 6, 4, 2, 3) here
+    assert stack_pass((1, 4, 5, 2, 3), (3, 2, 4, 6, 5, 1)) == (5, 1, 6, 4, 2, 3)
 
 
 def test_forbidden_pattern_too_short():
@@ -293,6 +296,26 @@ def test_blocked_masks_match_whole_content_check(forbidden, values):
 def test_blocked_masks_of_long_patterns_match_whole_content_check(forbidden, values):
     # the check of the depth-first search over the middle entries
     _check_blocked_masks(forbidden, values)
+
+
+# The length-4 patterns whose e3 is next in rank to neither end of its
+# window: the k = 4 loop drops the values below each candidate it tries for
+# these too, by the argument in perms.greedy_step.
+FAR_E3 = [(1, 4, 2, 3), (2, 1, 3, 4), (3, 4, 2, 1), (4, 1, 3, 2)]
+
+
+@pytest.mark.parametrize("forbidden", FAR_E3, ids=lambda p: "".join(map(str, p)))
+def test_far_e3_push_masks_on_every_input_up_to_6(forbidden):
+    for n in range(1, 7):
+        for values in all_perms(n):
+            _check_blocked_masks(forbidden, values)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("forbidden", FAR_E3, ids=lambda p: "".join(map(str, p)))
+def test_far_e3_push_masks_on_every_input_of_7(forbidden):
+    for values in all_perms(7):
+        _check_blocked_masks(forbidden, values)
 
 
 @pytest.mark.slow

@@ -370,8 +370,7 @@ def test_anchored_132_census_is_the_brute_side_of_the_formula(monkeypatch):
 def test_anchored_132_census_caps_the_lemmas_at_8():
     # THM 3.3 runs to max_n; COR 3.2 and LEM 3.1 stop at n = 8, where the
     # goldens stop too.
-    out = []
-    verify._check_anchored_132_avoiders(9, out)
+    out = verify._report(verify._check_anchored_132_avoiders(4, 9))
     assert all(r.status == "PASS" for r in out)
     ns = {}
     for r in out:
