@@ -19,7 +19,8 @@ are adjacent.  It is decided by one linear scan, `contains_anchored_132`;
 its left-right mirror is the same scan on the reversed host.  The library's
 scans of permutations it built call the scan unchecked,
 `_contains_anchored_132`.  FISHBURN_PATTERN takes a linear scan too,
-`_contains_fishburn`: an ascent (u, w) followed anywhere by u - 1.  A
+`_contains_fishburn`: an ascent (u, w) followed anywhere by u - 1.
+`contains_bivincular` answers both named patterns with their scans.  A
 permutation avoids ANCHORED_132 exactly when every block of its
 first-element decomposition is increasing, which yields a product formula
 for the number of avoiders.
@@ -58,11 +59,12 @@ FISHBURN_PATTERN = BivincularPattern((2, 3, 1), frozenset({1}), frozenset({1}))
 
 def contains_bivincular(host: Perm, bp: BivincularPattern) -> bool:
     """True iff host has a classical occurrence of bp.pattern satisfying all
-    position- and value-adjacency constraints.  FISHBURN_PATTERN takes its
-    linear scan, every other pattern `perms.match`."""
+    position- and value-adjacency constraints.  FISHBURN_PATTERN and
+    ANCHORED_132 take their linear scans, every other pattern `perms.match`."""
     host = as_perm(host)
-    if bp == FISHBURN_PATTERN:
-        return _contains_fishburn(host)
+    scan = _NAMED_SCANS.get(bp)
+    if scan is not None:
+        return scan(host)
     return next(match(host, bp.pattern, bp.pos_adj, bp.val_adj), None) is not None
 
 
@@ -90,6 +92,9 @@ def contains_anchored_132(p: Perm) -> bool:
 
 def _contains_anchored_132(p: Perm) -> bool:
     return any(p[j] > p[j + 1] > p[0] for j in range(1, len(p) - 1))
+
+
+_NAMED_SCANS = {FISHBURN_PATTERN: _contains_fishburn, ANCHORED_132: _contains_anchored_132}
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ parse error.  `count sortable|sorted` refuse --max-n beyond 11 unless --force
 is given; `count anchored132` prints the closed form, whose exhaustive check
 is verify's THM 3.3 line, and takes neither --sigma nor --force; verify,
 explore and fertility --n have no such guard.  Every command runs in one
-process.
+process.  A ValueError, raised by a usage check here or by the library,
+prints `error: ...` and exits 2.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ from .verify import verify_all, verify_conjectures, verify_tables, verify_theore
 ENUMERATION_GUARD = 11
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_perm_arg(text: str, what: str) -> Perm:
     try:
         return parse_perm(text)
     except ValueError as exc:
-        raise UsageError(f"bad {what}: {exc}") from None
+        raise ValueError(f"bad {what}: {exc}") from None
 
 
 def _emit_sequence(counts: list[int], fmt: str) -> None:
@@ -85,14 +82,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.max_n < 0:  # the range below would make no library call to reject it
-        raise UsageError("n must be >= 0")
+        raise ValueError("n must be >= 0")
     if args.what in ("sortable", "sorted"):
         if args.sigma is None:
-            raise UsageError(f"count {args.what} requires --sigma")
+            raise ValueError(f"count {args.what} requires --sigma")
         forbidden = _parse_perm_arg(args.sigma, "forbidden pattern")
         check_forbidden(forbidden)
         if args.max_n > ENUMERATION_GUARD and not args.force:
-            raise UsageError(
+            raise ValueError(
                 f"refusing: would enumerate > {ENUMERATION_GUARD}! permutations "
                 "(use --force to override)"
             )
@@ -100,7 +97,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         counts = [fn(n, forbidden) for n in range(1, args.max_n + 1)]
     else:
         if args.sigma is not None or args.force:
-            raise UsageError("count anchored132 takes no --sigma or --force")
+            raise ValueError("count anchored132 takes no --sigma or --force")
         counts = [count_anchored_132_avoiders(n) for n in range(1, args.max_n + 1)]
     _emit_sequence(counts, args.format)
     return 0
@@ -114,7 +111,7 @@ def _flag(value: bool, glyphs: bool) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     if not 3 <= args.length <= 6:
-        raise UsageError("classify supports lengths 3 to 6")
+        raise ValueError("classify supports lengths 3 to 6")
     rows = [classification_row(p) for p in all_perms(args.length)]
     if args.format == "json":
         print(
@@ -179,7 +176,7 @@ def _cmd_fertility(args: argparse.Namespace) -> int:
     forbidden = _parse_perm_arg(args.sigma, "forbidden pattern")
     check_forbidden(forbidden)
     if (args.gamma is None) == (args.n is None):
-        raise UsageError("give exactly one of --gamma or --n")
+        raise ValueError("give exactly one of --gamma or --n")
     if args.gamma is not None:
         gamma = _parse_perm_arg(args.gamma, "target output")
         value = fertility(forbidden, gamma)
@@ -264,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,11 +13,12 @@ returns (imported here as `greedy_step`), which gives the mask of the level
 a value adds where it lands, and in the one-bit push test of those masks.
 `stack_pass`, `stack_pass_traced` and `is_sortable` are one loop that pops
 while the top level blocks the next value, then appends the step's mask
-and the value.  The loop can also mark the output length at each push, or
-feed the output to the 231 watcher of `perms`, stopping at the first
-occurrence.  A trace is built once, at the end, from the push marks: the
-pops before each push are the output since the previous one, and every
-event comes from tables of `TraceEvent`s shared by all traces.  The
+and the value.  The loop can also feed the output to the 231 watcher of
+`perms`, stopping at the first occurrence.  A trace is rebuilt from the
+pass's input and output, because they fix a stack's push/pop word: a top
+that the output takes next must leave before the next push buries it, and
+any other pop would emit the wrong value.  Every event comes from tables
+of `TraceEvent`s shared by all traces.  The
 prefix-tree walker of `enumeration` reads the landing depth of every child
 of a tree node from the same masks, asks the step only for the children it
 keeps, and lands each leaf from one such mask without a push;
@@ -70,17 +71,11 @@ def check_forbidden(forbidden: Perm, n: int = 0) -> Perm:
     return forbidden
 
 
-def _pass(
-    forbidden: Perm,
-    perm: Perm,
-    marks: list[int] | None = None,
-    watch: bool = False,
-) -> Perm | None:
+def _pass(forbidden: Perm, perm: Perm, watch: bool = False) -> Perm | None:
     """One greedy pass: pop while the top level blocks v, then push v and
-    the mask of its level.  If given, `marks` receives the output length at
-    each push.  Otherwise, with `watch`, each output value is fed to the 231
-    watcher and None is returned at the first occurrence, since the rest of
-    the pass only appends."""
+    the mask of its level.  With `watch`, each output value is fed to the
+    231 watcher and None is returned at the first occurrence, since the rest
+    of the pass only appends."""
     step = greedy_step(forbidden, len(perm))
     stack: list[int] = []
     blocked = [0]
@@ -106,8 +101,6 @@ def _pass(
         blocked.append(step(v, d, stack, blocked))
         stack.append(v)
         d += 1
-        if marks is not None:
-            marks.append(len(out))
     while stack:  # end of input: drain
         if emit(stack.pop()) is False:
             return None
@@ -131,20 +124,22 @@ def stack_pass(forbidden: Perm, perm: Perm) -> Perm:
 
 def stack_pass_traced(forbidden: Perm, perm: Perm) -> tuple[Perm, MachineTrace]:
     """Like stack_pass, also returning the full push/pop event sequence.
-    The pops before each push are the output since the previous push."""
+    The events are replayed from the input and the output: before each push
+    the top leaves while it is the next output value, since it would be
+    buried otherwise, and no other pop can emit the right value."""
     forbidden, perm = check_forbidden(forbidden), as_perm(perm)
-    marks: list[int] = []
-    out = _pass(forbidden, perm, marks)
+    out = _pass(forbidden, perm)
     pushes, pops = _event_tables(1 << len(perm).bit_length())
-    popped = list(map(pops.__getitem__, out))
+    stack = [0]  # 0 is no value, so it never leaves
     events: list[TraceEvent] = []
-    j = 0
-    for v, m in zip(perm, marks):
-        if m > j:
-            events += popped[j:m]
-            j = m
+    j = 0  # the next output value is out[j]
+    for v in perm:
+        while stack[-1] == out[j]:
+            events.append(pops[stack.pop()])
+            j += 1
         events.append(pushes[v])
-    events += popped[j:]
+        stack.append(v)
+    events += map(pops.__getitem__, out[j:])
     return out, tuple(events)
 
 

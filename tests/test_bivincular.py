@@ -135,14 +135,35 @@ def test_anchored_132_examples():
     assert not contains_anchored_132(identity(6))
 
 
+def _anchored_132_by_match(p):
+    # the generic engine, called directly: contains_bivincular routes
+    # ANCHORED_132 to its scan
+    return next(match(p, (1, 3, 2), {0, 2}), None) is not None
+
+
 def test_anchored_132_fast_path_equals_generic_engine():
     # The mirrored pattern, a 231 whose first two entries are adjacent and
     # whose last entry ends the host, is the scan on the reversed host.
     mirrored = BivincularPattern((2, 3, 1), frozenset({1, 3}), frozenset())
     for n in range(0, 8):
         for p in all_perms(n):
-            assert contains_anchored_132(p) == contains_bivincular(p, ANCHORED_132)
+            want = _anchored_132_by_match(p)
+            assert contains_anchored_132(p) == want
+            assert contains_bivincular(p, ANCHORED_132) == want
             assert contains_anchored_132(reverse(p)) == contains_bivincular(p, mirrored)
+
+
+@given(
+    st.one_of(
+        perm_strategy(256),
+        st.lists(st.integers(0, 255), max_size=256).map(avoider_132),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_anchored_132_scan_equals_generic_engine_on_long_hosts(host):
+    want = _anchored_132_by_match(host)
+    assert contains_bivincular(host, ANCHORED_132) == want
+    assert contains_anchored_132(host) == want
 
 
 def _fishburn_by_match(p):

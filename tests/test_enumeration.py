@@ -318,9 +318,35 @@ def test_count_sortable_123_formula_values():
         count_sortable_123_formula(0)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_count_sortable_123_formula_matches_enumeration(n):
     assert count_sortable(n, (1, 2, 3)) == count_sortable_123_formula(n)
+
+
+# Closed forms for the sortables of three machines: the 132-machine's is the
+# binomial transform of the Catalan numbers (OEIS A007317; Cerbai, Claesson,
+# Ferrari and Steingrimsson, "Sorting with pattern-avoiding stacks: the
+# 132-machine"), and the 321-machine sorts 2^(n - 1) inputs.
+CLOSED_FORMS = {
+    (1, 3, 2): lambda n: sum(math.comb(n - 1, k) * catalan(k) for k in range(n)),
+    (3, 2, 1): lambda n: 2 ** (n - 1),
+    (1, 2, 3): count_sortable_123_formula,
+}
+
+
+@pytest.mark.parametrize("forbidden", [(1, 3, 2), (3, 2, 1)], ids=["132", "321"])
+def test_count_sortable_closed_forms(forbidden):
+    formula = CLOSED_FORMS[forbidden]
+    assert [count_sortable(n, forbidden) for n in range(1, 10)] == [
+        formula(n) for n in range(1, 10)
+    ]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("forbidden", list(CLOSED_FORMS), ids=["132", "321", "123"])
+def test_count_sortable_closed_forms_at_11(forbidden):
+    # about 5 s for 132, 1.3 s for 123 and 0.3 s for 321 on a 2-vCPU VM
+    assert count_sortable(11, forbidden) == CLOSED_FORMS[forbidden](11)
 
 
 def test_gamma_decomposition_examples():
