@@ -140,6 +140,13 @@ class JointDistribution:
         return sum(self.counts.values())
 
 
+def _check_run(n: int, least: int, minima_convention: str) -> None:
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
+    if minima_convention not in ("strict", "weak"):
+        raise ValueError(f"unknown convention {minima_convention!r}")
+
+
 def joint_distribution(kind: str, n: int, minima_convention: str = "strict") -> JointDistribution:
     """Tabulate the statistic pair of one family at length n >= 1.
 
@@ -148,10 +155,7 @@ def joint_distribution(kind: str, n: int, minima_convention: str = "strict") -> 
     ascent201: (right-to-left minima, zeros) over ascent sequences
     avoiding 201; the minima convention applies here only.
     """
-    if minima_convention not in ("strict", "weak"):
-        raise ValueError(f"unknown convention {minima_convention!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_run(n, 1, minima_convention)
     if kind == "sort312":
         perms = sortable_permutations(n, (3, 1, 2))
         pairs = ((_records(p), _records(reversed(p))) for p in perms)
@@ -192,9 +196,8 @@ def compare_families(
 def equidistribution_report(max_n: int, minima_convention: str = "strict") -> list[str]:
     """Per-n blocks of "pair -> count" lines for the three families, each
     block followed by an equidistribution verdict.  Raises ValueError for
-    max_n < 0."""
-    if max_n < 0:
-        raise ValueError("n must be >= 0")
+    max_n < 0 or an unknown minima convention."""
+    _check_run(max_n, 0, minima_convention)
     lines = [f"ascent-sequence right-to-left minima convention: {minima_convention}"]
     for n in range(1, max_n + 1):
         dists, mism = compare_families(n, minima_convention)

@@ -13,14 +13,15 @@ input's own machine state.  For each n the table keeps the sortable inputs,
 the profile of their first-pass outputs and, up to n = LEMMA_N, LEM 2.1's
 first counterexamples, which every check on that machine reads.
 Containment comes from one table of pattern masks up to n = TABLE_N and
-|tau| = TABLE_K, and from `contains` beyond: a class within the table is
-one AND of each mask with its basis bits.  Every table of a run takes its
-permutations from one dict per length (`_perms(n)`, each permutation to
-itself), so a run holds one tuple per permutation however many tables
-list it.  `verify_theorems` drops the tables of earlier runs, and those
-dicts, on entry.  The anchored-132 claims (THM 3.3, COR 3.2, LEM 3.1) read
-one scan of the permutations of each length.  Every suite raises
-ValueError for max_n < 0.
+|tau| = TABLE_K, and from `contains` beyond.  A class within the table is
+one AND of each mask with its basis bits; beyond it, the class grows from
+its members of length n - 1, since a class is a downset.  Every table of a
+run takes its permutations from one dict per length (`_perms(n)`, each
+permutation to itself), so a run holds one tuple per permutation however
+many tables list it.  `verify_theorems` drops the tables of earlier runs,
+and those dicts, on entry.  The anchored-132 claims (THM 3.3, COR 3.2,
+LEM 3.1) read one scan of the permutations of each length.  Every suite
+raises ValueError for max_n < 0.
 Conjectured facts are reported as FINDING instead of asserted; reference
 rows that have no published values to pin, and predicted witnesses not yet
 found by a search that stops below n = witness_n(k) for a pattern of
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -47,7 +49,7 @@ from .classify import (
     sort_is_class,
     sortables_avoid_anchored_132,
 )
-from .conjectures import compare_families, fishburn_permutations
+from .conjectures import _check_run, compare_families, fishburn_permutations
 from .enumeration import (
     catalan,
     count_sortable_123_formula,
@@ -253,22 +255,18 @@ def _machine(
 
 @lru_cache(maxsize=None)
 def avoider_set(n: int, basis: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    """The avoiders of basis of length n, lexicographic, as the tuples of
-    `_perms(n)`.  Up to TABLE_N they are the mask table's keys, kept by one AND
-    of their mask with the basis bits; `contains` asks only the patterns
-    longer than TABLE_K, and only of the tuples the AND keeps.  Beyond
-    TABLE_N every permutation is asked of `contains`."""
-    if n > TABLE_N:
-        perm = _perms(n).setdefault
-        return tuple(
-            perm(p, p) for p in all_perms(n) if not any(contains(p, b) for b in basis)
-        )
-    bits = 0
-    for b in basis:
-        bits |= _BITS.get(b, 0)
-    rest = [b for b in basis if b not in _BITS]
-    kept = tuple(p for p, m in _masks(n).items() if not m & bits)
-    return tuple(p for p in kept if not any(contains(p, b) for b in rest)) if rest else kept
+    """The avoiders of basis of length n, lexicographic, as `_perms(n)`'s
+    tuples: within the mask table's sizes, each mask ANDed with the OR of the
+    basis bits; beyond, n at each position of each avoider of length n - 1 (a
+    class is a downset), kept unless `_contains` finds a basis pattern."""
+    if n <= TABLE_N and all(b in _BITS for b in basis):
+        bits = reduce(or_, map(_BITS.get, basis), 0)  # not a sum: (231, 231)
+        return tuple(p for p, m in _masks(n).items() if not m & bits)
+    if not n:
+        return ((),)
+    perm = _perms(n).setdefault
+    grown = (q[:i] + (n,) + q[i:] for q in avoider_set(n - 1, basis) for i in range(n))
+    return tuple(sorted(perm(p, p) for p in grown if not any(_contains(p, b) for b in basis)))
 
 
 def _first_witness(ns: range, witnesses: Callable[[int], Iterable]) -> tuple | None:
@@ -603,8 +601,7 @@ def _conjecture_rows(max_n: int, minima_convention: str) -> Iterator[Row]:
 
 
 def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> list[CheckResult]:
-    if max_n < 0:
-        raise ValueError("n must be >= 0")
+    _check_run(max_n, 0, minima_convention)
     return _report(_conjecture_rows(max_n, minima_convention))
 
 

@@ -19,6 +19,7 @@ from stacksort.conjectures import (
 from oracles import ascent_sequences, backtrack_contains, brute_fishburn_avoiders
 from stacksort.enumeration import count_sortable
 from stacksort.perms import all_perms, identity
+from stacksort.verify import verify_conjectures
 
 FISHBURN_NUMBERS = [1, 2, 5, 15, 53, 217]
 
@@ -256,3 +257,12 @@ def test_equidistribution_report_shape():
     assert "n = 1" in lines
     assert any(line.strip().startswith("EQUIDISTRIBUTED:") for line in lines)
     assert any("->" in line for line in lines)
+
+
+@pytest.mark.parametrize("max_n", [0, 1])
+def test_unknown_convention_is_rejected_at_every_length(max_n):
+    # at max_n = 0 no family is tabulated, so the entry point checks it
+    with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+        equidistribution_report(max_n, "bogus")
+    with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+        verify_conjectures(max_n, "bogus")

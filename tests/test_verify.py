@@ -299,9 +299,11 @@ def test_avoider_set_matches_brute_force():
     _check_avoider_set(8, rng.choice(CLASS_BASES))
 
 
-@pytest.mark.parametrize(
-    "basis", MIXED_BASES, ids=lambda b: "-".join("".join(map(str, p)) for p in b)
-)
+def _basis_id(basis):
+    return "-".join("".join(map(str, p)) for p in basis)
+
+
+@pytest.mark.parametrize("basis", MIXED_BASES, ids=_basis_id)
 def test_avoider_set_asks_contains_past_the_table_length(basis, monkeypatch):
     asked = []
 
@@ -309,12 +311,57 @@ def test_avoider_set_asks_contains_past_the_table_length(basis, monkeypatch):
         asked.append(tau)
         return contains(p, tau)
 
+    avoider_set.cache_clear()
     monkeypatch.setattr(verify, "contains", spy)
+    avoider_set(7, basis)
+    # only the long pattern is asked, and only of the candidates grown from
+    # the avoiders one entry shorter that the table finds free of the short
+    # one: 542 and 578 in all
+    assert set(asked) == {basis[1]}
+    free = [
+        p
+        for n in range(1, 8)
+        for q in brute_avoiders(n - 1, basis)
+        for p in (q[:i] + (n,) + q[i:] for i in range(n))
+        if not brute_contains(p, basis[0])
+    ]
+    assert len(asked) == len(free)
     for n in range(8):
         _check_avoider_set(n, basis)
-    # only the long pattern is asked, and only of the AND's survivors
-    assert set(asked) == {basis[1]}
-    assert len(asked) == sum(len(list(brute_avoiders(n, basis[:1]))) for n in range(8))
+
+
+@pytest.mark.parametrize("basis", MIXED_BASES, ids=_basis_id)
+def test_avoider_set_past_the_table_asks_only_grown_candidates(basis, monkeypatch):
+    # Counted, not timed: at each n at most n candidates per avoider of
+    # length n - 1, each asked of every basis pattern at most once.  Up to
+    # n = 9 that is 9 906 and 14 221 calls in all, where a scan of every
+    # permutation asks 9! = 362 880 per basis pattern.
+    asked = Counter()
+
+    def spy(p, tau):
+        asked[len(p)] += 1
+        return contains(p, tau)
+
+    avoider_set.cache_clear()
+    monkeypatch.setattr(verify, "contains", spy)
+    got = avoider_set(9, basis)
+    for n in range(1, 10):
+        assert asked[n] <= n * len(avoider_set(n - 1, basis)) * len(basis), n
+    assert sum(asked.values()) < 15_000
+    assert list(got) == sorted(set(got))
+    assert all(verify._perms(9)[p] is p for p in got)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [((1, 3, 2), (4, 1, 2, 3)), ((2, 3, 1), (2, 3, 1)), MIXED_BASES[1]],
+    ids=_basis_id,
+)
+def test_avoider_set_past_the_table_equals_the_scan(basis):
+    # a class basis, the PROP 4.1 basis of 231 and a mixed basis, against
+    # every permutation of length 9 asked of `contains`
+    scan = tuple(p for p in all_perms(9) if not any(contains(p, b) for b in basis))
+    assert avoider_set(9, basis) == scan
 
 
 def test_containment_past_the_table_asks_contains(monkeypatch):
