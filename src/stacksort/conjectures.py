@@ -140,9 +140,8 @@ class JointDistribution:
         return sum(self.counts.values())
 
 
-def _check_run(n: int, least: int, minima_convention: str) -> None:
-    if n < least:
-        raise ValueError(f"n must be >= {least}")
+def check_convention(minima_convention: str) -> None:
+    """Raise ValueError unless the minima convention is strict or weak."""
     if minima_convention not in ("strict", "weak"):
         raise ValueError(f"unknown convention {minima_convention!r}")
 
@@ -155,7 +154,9 @@ def joint_distribution(kind: str, n: int, minima_convention: str = "strict") -> 
     ascent201: (right-to-left minima, zeros) over ascent sequences
     avoiding 201; the minima convention applies here only.
     """
-    _check_run(n, 1, minima_convention)
+    check_convention(minima_convention)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if kind == "sort312":
         perms = sortable_permutations(n, (3, 1, 2))
         pairs = ((_records(p), _records(reversed(p))) for p in perms)
@@ -197,7 +198,9 @@ def equidistribution_report(max_n: int, minima_convention: str = "strict") -> li
     """Per-n blocks of "pair -> count" lines for the three families, each
     block followed by an equidistribution verdict.  Raises ValueError for
     max_n < 0 or an unknown minima convention."""
-    _check_run(max_n, 0, minima_convention)
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
+    check_convention(minima_convention)
     lines = [f"ascent-sequence right-to-left minima convention: {minima_convention}"]
     for n in range(1, max_n + 1):
         dists, mism = compare_families(n, minima_convention)

@@ -13,9 +13,8 @@ input's own machine state.  For each n the table keeps the sortable inputs,
 the profile of their first-pass outputs and, up to n = LEMMA_N, LEM 2.1's
 first counterexamples, which every check on that machine reads.
 Containment comes from one table of pattern masks up to n = TABLE_N and
-|tau| = TABLE_K, and from `contains` beyond.  A class within the table is
-one AND of each mask with its basis bits; beyond it, the class grows from
-its members of length n - 1, since a class is a downset.  Every table of a
+|tau| = TABLE_K, and from `contains` beyond.  A class grows from its
+members of length n - 1, since a class is a downset.  Every table of a
 run takes its permutations from one dict per length (`_perms(n)`, each
 permutation to itself), so a run holds one tuple per permutation however
 many tables list it.  `verify_theorems` drops the tables of earlier runs,
@@ -32,8 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -49,7 +47,7 @@ from .classify import (
     sort_is_class,
     sortables_avoid_anchored_132,
 )
-from .conjectures import _check_run, compare_families, fishburn_permutations
+from .conjectures import check_convention, compare_families, fishburn_permutations
 from .enumeration import (
     catalan,
     count_sortable_123_formula,
@@ -256,12 +254,8 @@ def _machine(
 @lru_cache(maxsize=None)
 def avoider_set(n: int, basis: tuple[Perm, ...]) -> tuple[Perm, ...]:
     """The avoiders of basis of length n, lexicographic, as `_perms(n)`'s
-    tuples: within the mask table's sizes, each mask ANDed with the OR of the
-    basis bits; beyond, n at each position of each avoider of length n - 1 (a
-    class is a downset), kept unless `_contains` finds a basis pattern."""
-    if n <= TABLE_N and all(b in _BITS for b in basis):
-        bits = reduce(or_, map(_BITS.get, basis), 0)  # not a sum: (231, 231)
-        return tuple(p for p, m in _masks(n).items() if not m & bits)
+    tuples: n at each position of each avoider of length n - 1 (a class is a
+    downset), kept unless `_contains` finds a basis pattern."""
     if not n:
         return ((),)
     perm = _perms(n).setdefault
@@ -601,7 +595,9 @@ def _conjecture_rows(max_n: int, minima_convention: str) -> Iterator[Row]:
 
 
 def verify_conjectures(max_n: int = 7, minima_convention: str = "strict") -> list[CheckResult]:
-    _check_run(max_n, 0, minima_convention)
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
+    check_convention(minima_convention)
     return _report(_conjecture_rows(max_n, minima_convention))
 
 

@@ -287,8 +287,8 @@ def test_avoiders_examples():
     assert len(list(brute_avoiders(4, []))) == 24
 
 
-# The library's avoiders are verify's: read from its containment table up
-# to n = 8, grown beyond from the avoiders one entry shorter.
+# The library's avoiders are verify's: grown from the avoiders one entry
+# shorter, each candidate judged by its containment table up to n = 8.
 @pytest.mark.parametrize("n", range(1, 11))
 def test_single_length3_pattern_avoiders_are_catalan(n):
     assert len(avoider_set(n, ((2, 3, 1),))) == catalan(n)

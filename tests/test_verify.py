@@ -271,7 +271,7 @@ def test_containment_table_matches_brute_force():
 
 # Every basis that THM 2.2, PROP 4.1 and AMB two-letter ask for with
 # patterns of length up to 4, and two with a pattern past the table's
-# length, which the AND cannot hold.
+# length, which `contains` judges.
 CLASS_BASES = sorted(
     {tuple(sort_is_class(p)[1]) for m in (3, 4) for p in all_perms(m) if sort_is_class(p)[0]}
     | {((2, 3, 1), p) for m in (2, 3, 4) for p in all_perms(m) if is_effective(p)}
