@@ -22,9 +22,10 @@ followed by its stack read top down, is a subsequence of the output of every
 leaf below it, and the hook judges the child on the child's committed
 sequence:
 
-- sortable inputs: it must avoid 231.  The node's own does, so only
-  occurrences through v are tested, each in O(1) from masks the hook state
-  keeps per stack level beside the blocked masks;
+- sortable inputs: it must avoid 231, and every value below the a of a
+  pair a < b of its output, a first, must be out, as the rest follow b.
+  The node's own does both, so only the pairs the pops add and occurrences
+  through v are tested, each in O(1) from masks the hook state keeps;
 - fertility of gamma: it must be a prefix of gamma followed by a
   subsequence of the rest of gamma;
 - all first-pass outputs: never cut.
@@ -180,14 +181,15 @@ def prefix_walk(
 
 def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
     """Keep v, landing at depth d, when out + popped + v + stack[:d] read
-    top down avoids 231, given that out + the stack read top down does.
+    top down avoids 231 and every value below the a of a pair a < b of out
+    + popped, a first, is out: the rest come out after b.  The node's own
+    does both, so no value still to come lies below such an a.
 
-    state is (ceiling, emitted, levels): the 231 watcher's ceiling after
-    out (`perms.watch_231`), the mask of the values in out, and for each
+    state is (emitted, levels): the mask of the values in out, and for each
     stack level j the mask of stack[:j], its minimum (n + 1 when j = 0) and
     the union of the open intervals (min(stack[:i]), stack[i]) over i < j.
     """
-    ceiling, emitted, levels = state
+    emitted, levels = state
     below, low, inner = levels[d]
     top = len(stack)
     if d < top:
@@ -195,42 +197,40 @@ def _no_231(v: int, d: int, stack: list[int], state: object) -> object:
         # the largest popped value, or a popped value that sits above a
         # larger popped one.  The stack read bottom up avoids 132, so the
         # latter are the entries above stack[d] that are smaller than it.
+        # Each a lies below the least value not yet out: the lowest clear
+        # bit of emitted above bit 0.
         popped = levels[top][0] ^ below
-        a = (emitted & (1 << popped.bit_length() - 1) - 1).bit_length() - 1
-        if a > ceiling:
-            ceiling = a
-        a = (popped & (1 << stack[d]) - 1).bit_length() - 1
-        if a > ceiling:
-            ceiling = a
+        a = emitted & (1 << popped.bit_length() - 1) - 1
+        a |= popped & (1 << stack[d]) - 1
         emitted |= popped
-    # v is the 1 after such a pair; or the 2 before an entry of stack[:d]
-    # above it in value and a deeper entry below it; or the 3 after an
-    # emitted value above min(stack[:d]) and below v
-    if v < ceiling or inner >> v & 1 or (emitted & (1 << v) - 1) >> low + 1:
+        if a > (emitted + 2 & ~emitted):
+            return None
+    # v is the 2 before an entry of stack[:d] above it in value and a
+    # deeper entry below it; or the 3 after an emitted value above
+    # min(stack[:d]) and below v
+    if inner >> v & 1 or (emitted & (1 << v) - 1) >> low + 1:
         return None
     levels = levels[: d + 1]
     if low < v:
         levels.append((below | 1 << v, low, inner | (1 << v) - (2 << low)))
     else:
         levels.append((below | 1 << v, v, inner))
-    return ceiling, emitted, levels
+    return emitted, levels
 
 
 def _no_231_leaf(w: int, e: int, v: int, d: int, stack: list[int], state: object) -> bool:
     """The test of `_no_231` for the leaf w landing at depth e of
     stack[:d] + [v], whose state is v's; no state is built."""
-    ceiling, emitted, levels = state
+    emitted, levels = state
     below, low, inner = levels[e]
     if e <= d:  # the entries e.. of stack[:d] + [v] leave
         popped = levels[d + 1][0] ^ below
-        a = (emitted & (1 << popped.bit_length() - 1) - 1).bit_length() - 1
-        if a > ceiling:
-            ceiling = a
-        a = (popped & (1 << (stack[e] if e < d else v)) - 1).bit_length() - 1
-        if a > ceiling:
-            ceiling = a
+        a = emitted & (1 << popped.bit_length() - 1) - 1
+        a |= popped & (1 << (stack[e] if e < d else v)) - 1
         emitted |= popped
-    return not (w < ceiling or inner >> w & 1 or (emitted & (1 << w) - 1) >> low + 1)
+        if a > (emitted + 2 & ~emitted):
+            return False
+    return not (inner >> w & 1 or (emitted & (1 << w) - 1) >> low + 1)
 
 
 def _never(v: int, d: int, stack: list[int], state: object) -> object:
@@ -249,7 +249,7 @@ def _sortable_walk(
     n: int, forbidden: Perm, pairs: bool, every_length: bool = False
 ) -> Iterator[Pair | int]:
     forbidden = check_forbidden(forbidden, n)
-    return prefix_walk(forbidden, n, _SORTABLE, (0, 0, [(0, n + 1, 0)]), pairs, every_length)
+    return prefix_walk(forbidden, n, _SORTABLE, (0, [(0, n + 1, 0)]), pairs, every_length)
 
 
 def sortable_pairs(n: int, forbidden: Perm) -> Iterator[Pair]:
